@@ -21,9 +21,9 @@ from .core import (
     CountVector,
     DmnError,
     MeanPhiParams,
-    dmn_loglik_exact,
+    dmn_loglik_exact,  # noqa: F401  perfbench/spans.py rebinds this name here
     dmn_loglik_lgamma,
-    dmn_loglik_phi,
+    dmn_loglik_rows,
     params_from_mean_phi,
 )
 from .estimate import Dataset, fit_alpha_mle
@@ -87,9 +87,11 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
 
 def _all_ints(cells) -> bool:
     try:
-        return all(int(c) >= 0 for c in cells)
+        for c in cells:
+            int(c)
     except ValueError:
         return False
+    return True
 
 
 def _read_table(path: str) -> CountTable:
@@ -163,15 +165,12 @@ def cmd_loglik(args) -> int:
             f"parameters have {k} categories but the table has "
             f"{len(table.rows[0].counts)} columns"
         )
-    evaluator = {
-        "exact": dmn_loglik_exact,
-        "lgamma": dmn_loglik_lgamma,
-        "phi": dmn_loglik_phi,
-    }[method]
-    rows = []
-    for i, x in enumerate(table.rows):
-        res = evaluator(params, x)
-        rows.append((i, res.value, res.terms))
+    if method == "lgamma":
+        results = [dmn_loglik_lgamma(params, x) for x in table.rows]
+    else:
+        # exact with AlphaParams, phi with MeanPhiParams
+        results = dmn_loglik_rows(params, table.rows)
+    rows = [(i, res.value, res.terms) for i, res in enumerate(results)]
     total = math.fsum(v for _, v, _ in rows)
 
     if args.format == "json":

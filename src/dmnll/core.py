@@ -13,6 +13,9 @@ conventional log-gamma baseline it is benchmarked against
 (:func:`dmn_loglik_lgamma`), and a mean/over-dispersion form
 (:func:`dmn_loglik_phi`) that stays finite and NaN-free all the way down to
 phi = 0, where the distribution degenerates to the plain multinomial.
+With the parameters fixed, every row of a table walks a prefix of the same
+log sequence, so :func:`dmn_loglik_rows` evaluates a whole table from one
+shared walk per category, bit for bit equal to the per-row calls.
 
 Numerical policy: every inner sum is accumulated in ascending index order
 with Neumaier compensation, and the per-category partial sums are merged
@@ -44,6 +47,7 @@ __all__ = [
     "dmn_loglik_exact",
     "dmn_loglik_lgamma",
     "dmn_loglik_phi",
+    "dmn_loglik_rows",
     "params_from_mean_phi",
     "mn_loglik_kernel",
     "log_multinomial_coef",
@@ -83,7 +87,6 @@ class Method(Enum):
     EXACT = "exact"
     LOG_GAMMA = "lgamma"
     PHI_FORM = "phi"
-    MN = "mn"
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +151,20 @@ class AlphaParams:
                     f"concentration parameters must be finite and > 0, got {a!r}"
                 )
         object.__setattr__(self, "alpha", vals)
-        object.__setattr__(self, "sum_a", math.fsum(vals))
+        object.__setattr__(
+            self, "sum_a", _finite_fsum(vals, "the sum of the concentration parameters")
+        )
 
     def __len__(self) -> int:
         return len(self.alpha)
+
+
+def _finite_fsum(values: Sequence[float], what: str) -> float:
+    """``math.fsum`` of finite values; an overflowing sum is a :class:`DomainError`."""
+    try:
+        return math.fsum(values)
+    except OverflowError as exc:
+        raise DomainError(f"{what} overflows a float") from exc
 
 
 def _as_simplex(p: Sequence[float], *, renormalize: bool = False) -> tuple[float, ...]:
@@ -163,11 +176,11 @@ def _as_simplex(p: Sequence[float], *, renormalize: bool = False) -> tuple[float
         if not math.isfinite(v) or v < 0.0:
             raise DomainError(f"probabilities must be finite and >= 0, got {v!r}")
     if renormalize:
-        s = math.fsum(probs)
+        s = _finite_fsum(probs, "the sum of the probabilities")
         if s <= 0.0:
             raise DomainError("cannot renormalize a zero-weight vector")
         probs = tuple(v / s for v in probs)
-    s = math.fsum(probs)
+    s = _finite_fsum(probs, "the sum of the probabilities")
     if abs(s - 1.0) > SIMPLEX_TOL:
         raise DomainError(
             f"probabilities must sum to 1 within {SIMPLEX_TOL:g}, got {s!r} "
@@ -206,8 +219,13 @@ class LogLikResult:
     """A log-likelihood value plus evaluation metadata.
 
     ``value`` is a natural log; it is finite or ``-inf``, never NaN.
-    ``terms`` counts the log evaluations actually performed, which the
-    benchmark module uses to verify cost scaling.
+    ``terms`` is the row's own evaluation cost, which the benchmark module
+    uses to verify cost scaling: on the sum-of-logs routes one log per unit
+    of count in the numerator and one per unit of the total, ``2N``; on the
+    lgamma route ``2K + 2`` lgamma calls.  It is the per-row cost model, not
+    the number of logs a shared pass took: :func:`dmn_loglik_rows` reports
+    the same ``terms`` as per-row calls.  A ``-inf`` row of the phi form
+    reports the numerator terms before the impossible category.
     """
 
     value: float
@@ -250,47 +268,67 @@ def _check_budget(x: CountVector) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _sum_logs(start: float, step: float, count: int) -> tuple[float, float]:
-    """Neumaier-compensated sum of log(start + j*step) for j = 0 .. count-1.
+def _sum_terms(
+    term, start: float, step: float, levels: Iterable[int]
+) -> list[tuple[float, float]]:
+    """Neumaier-compensated prefix sums of term(start + j*step), j = 0, 1, ...
 
-    Terms are accumulated in ascending j.  The running sum and its
-    compensation are returned separately so callers can merge partial sums
-    without an intermediate rounding.  ``start == 0`` with ``count > 0``
-    (a zero-probability category that was observed) yields ``(-inf, 0.0)``.
+    Terms are accumulated in ascending j in one walk up to the largest level.
+    The running sum and its compensation ``(s, c)`` are recorded after the
+    first n terms for each n in ``levels`` (ascending; n = 0, or a lone
+    negative n, records ``(0.0, 0.0)``).  The walk does not depend on the
+    levels asked for, so the state recorded for n is bit for bit the state
+    of a walk of n terms alone.  Sum and compensation stay separate so
+    callers can merge partial sums without an intermediate rounding.
     """
-    if count <= 0:
-        return 0.0, 0.0
+    states = []
+    s = 0.0
+    c = 0.0
+    done = 0
+    for stop in levels:
+        for j in range(done, stop):
+            t = term(start + step * j)
+            total = s + t
+            if abs(s) >= abs(t):
+                c += (s - total) + t
+            else:
+                c += (t - total) + s
+            s = total
+        done = stop
+        states.append((s, c))
+    return states
+
+
+def _sum_logs(
+    start: float, step: float, levels: Iterable[int]
+) -> list[tuple[float, float]]:
+    """:func:`_sum_terms` of log(start + j*step) at each of ``levels``.
+
+    ``start == 0`` (a zero-probability category) makes every level above 0
+    ``(-inf, 0.0)``: the observed category is impossible.
+    """
     if start <= 0.0:
-        return _NEG_INF, 0.0
-    s = 0.0
-    c = 0.0
-    log = math.log
-    for j in range(count):
-        t = log(start + step * j)
-        total = s + t
-        if abs(s) >= abs(t):
-            c += (s - total) + t
-        else:
-            c += (t - total) + s
-        s = total
-    return s, c
+        return [(_NEG_INF, 0.0) if n > 0 else (0.0, 0.0) for n in levels]
+    return _sum_terms(math.log, start, step, levels)
 
 
-def _sum_recips(start: float, count: int) -> float:
-    """Neumaier-compensated sum of 1/(start + j) for j = 0 .. count-1."""
-    if count <= 0:
-        return 0.0
-    s = 0.0
-    c = 0.0
-    for j in range(count):
-        t = 1.0 / (start + j)
-        total = s + t
-        if abs(s) >= abs(t):
-            c += (s - total) + t
-        else:
-            c += (t - total) + s
-        s = total
-    return s + c
+def _reciprocal(y: float) -> float:
+    return 1.0 / y
+
+
+def _sum_recips(start: float, levels: Iterable[int]) -> list[float]:
+    """Compensated sums of 1/(start + j) for j < n, for each n in ``levels``."""
+    return [s + c for s, c in _sum_terms(_reciprocal, start, 1.0, levels)]
+
+
+def _states_by_level(column: Iterable[int], sums, *args) -> dict:
+    """``sums(*args, levels)`` over the distinct counts of ``column``, keyed by count.
+
+    One walk per column serves every row: a row with count n looks up the
+    state a walk of n terms alone would return.
+    """
+    levels = sorted(set(column))
+    return dict(zip(levels, sums(*args, levels)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +359,11 @@ def dmn_loglik_exact(alpha: AlphaLike, x: CountsLike) -> LogLikResult:
     parts: list[float] = []
     n_logs = 0
     for a_k, x_k in zip(alpha.alpha, x.counts):
-        s, c = _sum_logs(a_k, 1.0, x_k)
+        s, c = _sum_logs(a_k, 1.0, (x_k,))[0]
         parts.append(s)
         parts.append(c)
         n_logs += x_k
-    s, c = _sum_logs(alpha.sum_a, 1.0, x.total)
+    s, c = _sum_logs(alpha.sum_a, 1.0, (x.total,))[0]
     parts.append(-s)
     parts.append(-c)
     n_logs += x.total
@@ -345,11 +383,18 @@ def dmn_loglik_lgamma(alpha: AlphaLike, x: CountsLike) -> LogLikResult:
     _check_lengths(len(alpha.alpha), x)
     lg = math.lgamma
     a_sum = alpha.sum_a
-    parts = [lg(a_sum) - lg(a_sum + x.total)]
-    for a_k, x_k in zip(alpha.alpha, x.counts):
-        parts.append(lg(a_k + x_k) - lg(a_k))
+    try:
+        parts = [lg(a_sum) - lg(a_sum + x.total)]
+        for a_k, x_k in zip(alpha.alpha, x.counts):
+            parts.append(lg(a_k + x_k) - lg(a_k))
+        value = math.fsum(parts)
+    except OverflowError as exc:
+        raise DomainError(
+            "lgamma overflows a float at these parameters; "
+            "the exact route evaluates them"
+        ) from exc
     terms = 2 * len(alpha.alpha) + 2
-    return LogLikResult(math.fsum(parts), Method.LOG_GAMMA, terms)
+    return LogLikResult(value, Method.LOG_GAMMA, terms)
 
 
 def params_from_mean_phi(mp: MeanPhiParams) -> AlphaParams:
@@ -402,17 +447,79 @@ def dmn_loglik_phi(mp: MeanPhiParams, x: CountsLike) -> LogLikResult:
     parts: list[float] = []
     n_logs = 0
     for p_k, x_k in zip(mp.p, x.counts):
-        s, c = _sum_logs(p_k * w, phi, x_k)
+        s, c = _sum_logs(p_k * w, phi, (x_k,))[0]
         if s == _NEG_INF:
             return LogLikResult(_NEG_INF, Method.PHI_FORM, n_logs)
         parts.append(s)
         parts.append(c)
         n_logs += x_k
-    s, c = _sum_logs(w, phi, x.total)
+    s, c = _sum_logs(w, phi, (x.total,))[0]
     parts.append(-s)
     parts.append(-c)
     n_logs += x.total
     return LogLikResult(math.fsum(parts), Method.PHI_FORM, n_logs)
+
+
+def dmn_loglik_rows(
+    params: AlphaLike | MeanPhiParams, rows: Iterable[CountsLike]
+) -> list[LogLikResult]:
+    """Log-likelihood kernel of every row of a count table, from shared passes.
+
+    With concentration parameters (:class:`AlphaParams` or a plain sequence)
+    result r is ``dmn_loglik_exact(params, rows[r])``; with
+    :class:`MeanPhiParams` it is ``dmn_loglik_phi(params, rows[r])``.  Both
+    hold bit for bit, in ``value`` and in ``terms``, ``-inf`` rows included.
+
+    Row r's log sum over category k is a prefix of the one sequence every
+    row walks, log(a_k), log(a_k + 1), ...  So each category is walked once,
+    up to its largest count, and the denominator once, up to the largest
+    total, recording the compensated state at each distinct count.  Each row
+    then merges its K + 1 states with ``math.fsum`` as the per-row call does.
+    A walk covers only the rows whose per-row call would reach it and never
+    goes past their column's sum, so this never takes more logs than the
+    per-row calls, and on a table with repeated counts far fewer.  Every row
+    is validated, in order, before any pass starts.
+    """
+    if isinstance(params, MeanPhiParams):
+        w = 1.0 - params.phi
+        starts, step, den_start = [p_k * w for p_k in params.p], params.phi, w
+        method = Method.PHI_FORM
+    else:
+        alpha = _as_alpha(params)
+        starts, step, den_start = alpha.alpha, 1.0, alpha.sum_a
+        method = Method.EXACT
+    checked: list[CountVector] = []
+    for x in rows:
+        x = _as_counts(x)
+        _check_lengths(len(starts), x)
+        _check_budget(x)
+        checked.append(x)
+    num = []
+    reach = checked  # the rows whose per-row call gets as far as category k
+    for k, start in enumerate(starts):
+        column = (x.counts[k] for x in reach)
+        num.append(_states_by_level(column, _sum_logs, start, step))
+        if start <= 0.0:
+            # an observed zero-probability category ends the row at -inf
+            reach = [x for x in reach if x.counts[k] == 0]
+    den = _states_by_level((x.total for x in reach), _sum_logs, den_start, step)
+
+    def merge(x: CountVector) -> LogLikResult:
+        parts: list[float] = []
+        n_logs = 0
+        for states, x_k in zip(num, x.counts):
+            s, c = states[x_k]
+            if s == _NEG_INF:
+                return LogLikResult(_NEG_INF, method, n_logs)
+            parts.append(s)
+            parts.append(c)
+            n_logs += x_k
+        s, c = den[x.total]
+        parts.append(-s)
+        parts.append(-c)
+        return LogLikResult(math.fsum(parts), method, n_logs + x.total)
+
+    return [merge(x) for x in checked]
 
 
 def mn_loglik_kernel(p: Sequence[float], x: CountsLike) -> float:
@@ -432,7 +539,7 @@ def mn_loglik_kernel(p: Sequence[float], x: CountsLike) -> float:
     _check_budget(x)
     parts: list[float] = []
     for p_k, x_k in zip(probs, x.counts):
-        s, c = _sum_logs(p_k, 0.0, x_k)
+        s, c = _sum_logs(p_k, 0.0, (x_k,))[0]
         if s == _NEG_INF:
             return _NEG_INF
         parts.append(s)
@@ -447,10 +554,10 @@ def log_multinomial_coef(x: CountsLike) -> float:
     """
     x = _as_counts(x)
     _check_budget(x)
-    s, c = _sum_logs(2.0, 1.0, x.total - 1)
+    s, c = _sum_logs(2.0, 1.0, (x.total - 1,))[0]
     parts = [s, c]
     for x_k in x.counts:
-        s, c = _sum_logs(2.0, 1.0, x_k - 1)
+        s, c = _sum_logs(2.0, 1.0, (x_k - 1,))[0]
         parts.append(-s)
         parts.append(-c)
     return math.fsum(parts)

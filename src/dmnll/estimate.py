@@ -33,8 +33,10 @@ from .core import (
     DomainError,
     ResourceLimitError,
     _as_alpha,
+    _states_by_level,
     _sum_recips,
-    dmn_loglik_exact,
+    dmn_loglik_exact,  # noqa: F401  perfbench/spans.py rebinds this name here
+    dmn_loglik_rows,
 )
 
 __all__ = [
@@ -119,7 +121,7 @@ def loglik_dataset(alpha: AlphaLike, d: Dataset) -> float:
     """Log-likelihood of i.i.d. observations: the sum of per-row kernels."""
     alpha = _as_alpha(alpha)
     _check_k(alpha, d)
-    return math.fsum(dmn_loglik_exact(alpha, x).value for x in d.observations)
+    return math.fsum(r.value for r in dmn_loglik_rows(alpha, d.observations))
 
 
 def grad_loglik(alpha: AlphaLike, d: Dataset) -> np.ndarray:
@@ -128,16 +130,23 @@ def grad_loglik(alpha: AlphaLike, d: Dataset) -> np.ndarray:
     Component k is sum_obs [sum_{j < x_k} 1/(alpha_k + j) -
     sum_{i < N} 1/(A + i)]; empty sums are zero.  Per-observation terms are
     accumulated with compensated summation and merged in observation order,
-    so the result is deterministic.
+    so the result is deterministic.  Each reciprocal sum is read from one
+    shared walk per category (and one for the totals), which gives every
+    observation the value a walk of its own count alone would.
     """
     alpha = _as_alpha(alpha)
     _check_k(alpha, d)
-    k = d.k
-    parts: list[list[float]] = [[] for _ in range(k)]
-    for x in d.observations:
-        den = _sum_recips(alpha.sum_a, x.total)
-        for i, (a_k, x_k) in enumerate(zip(alpha.alpha, x.counts)):
-            parts[i].append(_sum_recips(a_k, x_k) - den)
+    obs = d.observations
+    num = [
+        _states_by_level(col, _sum_recips, a_k)
+        for a_k, col in zip(alpha.alpha, zip(*(x.counts for x in obs)))
+    ]
+    den = _states_by_level((x.total for x in obs), _sum_recips, alpha.sum_a)
+    parts: list[list[float]] = [[] for _ in range(d.k)]
+    for x in obs:
+        den_x = den[x.total]
+        for part, sums, x_k in zip(parts, num, x.counts):
+            part.append(sums[x_k] - den_x)
     return np.array([math.fsum(p) for p in parts])
 
 

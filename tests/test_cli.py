@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from dmnll import MeanPhiParams, dmn_loglik_exact, dmn_loglik_phi, sample_dmn_dataset
+from dmnll.bench import canonical_json
 from dmnll.cli import main, parse_count_table, TableParseError
 
 
@@ -56,6 +58,11 @@ class TestParseTable:
         with pytest.raises(TableParseError, match="line 2"):
             parse_count_table("a,b\n-1,2\n")
 
+    def test_numeric_first_row_is_data(self):
+        # a first row whose cells all parse as integers is never a header
+        with pytest.raises(TableParseError, match="line 1"):
+            parse_count_table("1,-2\n3,4\n")
+
     def test_ragged_row_names_line(self):
         with pytest.raises(TableParseError, match="line 3"):
             parse_count_table("a,b\n1,2\n1,2,3\n")
@@ -64,6 +71,26 @@ class TestParseTable:
 # ---------------------------------------------------------------------------
 # loglik
 # ---------------------------------------------------------------------------
+
+
+def _per_row_output(rows, method, evaluate, fmt):
+    """``dmnll loglik`` output built from one evaluator call per row."""
+    results = [evaluate(x) for x in rows]
+    total = math.fsum(r.value for r in results)
+    if fmt == "json":
+        return canonical_json({
+            "schema_version": 1,
+            "method": method,
+            "rows": [
+                {"row": i, "loglik": r.value, "terms": r.terms}
+                for i, r in enumerate(results)
+            ],
+            "total": total,
+        })
+    lines = ["row,loglik,terms"]
+    lines += [f"{i},{r.value!r},{r.terms}" for i, r in enumerate(results)]
+    lines.append(f"total,{total!r},{sum(r.terms for r in results)}")
+    return "\n".join(lines) + "\n"
 
 
 class TestLoglik:
@@ -161,6 +188,49 @@ class TestLoglik:
         assert code == 0
         value = float(out.strip().split("\n")[1].split(",")[1])
         assert value == pytest.approx(math.log(1 / 8), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "text, data_rows", [("0,2\n3,4\n", 2), ("a,b\n0,2\n3,4\n", 2), ("7,1\n", 1)]
+    )
+    def test_every_data_row_is_output(self, capsys, counts_file, text, data_rows):
+        code, out, _ = run_cli(capsys, "loglik", counts_file(text), "--alpha", "1,1")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + data_rows + 1
+
+    @pytest.mark.parametrize("text, lineno", [("1,-2\n3,4\n", 1), ("3,4\n1,-2\n", 2)])
+    def test_negative_count_fails_with_its_line(self, capsys, counts_file, text, lineno):
+        code, out, err = run_cli(capsys, "loglik", counts_file(text), "--alpha", "1,1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"line {lineno}: counts must be non-negative" in err
+
+    def test_overflowing_alpha_is_one_error_line(self, capsys, counts_file):
+        code, out, err = run_cli(
+            capsys, "loglik", counts_file("1,1\n"), "--alpha", "1e308,1e308"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_matches_per_row_calls_bytewise(self, capsys, counts_file, fmt):
+        alpha = (2.0, 5.0, 3.0, 1.0, 4.0)
+        rows = sample_dmn_dataset(alpha, 60, 300, seed=7).observations
+        path = counts_file("".join(",".join(map(str, x.counts)) + "\n" for x in rows))
+        mp = MeanPhiParams((0.1, 0.2, 0.3, 0.25, 0.15), 0.0)
+        # a zero-probability category: rows that observe it are -inf, the rest finite
+        mp_zero = MeanPhiParams((0.1, 0.2, 0.3, 0.0, 0.4), 0.05)
+        for flags, method, evaluate in (
+            (("--alpha", "2,5,3,1,4"), "exact", lambda x: dmn_loglik_exact(alpha, x)),
+            (("--p", "0.1,0.2,0.3,0.25,0.15", "--phi", "0"), "phi",
+             lambda x: dmn_loglik_phi(mp, x)),
+            (("--p", "0.1,0.2,0.3,0,0.4", "--phi", "0.05"), "phi",
+             lambda x: dmn_loglik_phi(mp_zero, x)),
+        ):
+            code, out, _ = run_cli(capsys, "loglik", path, *flags, "--format", fmt)
+            assert code == 0
+            assert out == _per_row_output(rows, method, evaluate, fmt)
 
     def test_out_file(self, capsys, counts_file, tmp_path):
         path = counts_file("1,1\n")

@@ -26,11 +26,13 @@ from dmnll import (
     dmn_loglik_exact,
     dmn_loglik_lgamma,
     dmn_loglik_phi,
+    dmn_loglik_rows,
     log_multinomial_coef,
     mn_log_pmf,
     mn_loglik_kernel,
     params_from_mean_phi,
 )
+from dmnll import core
 from dmnll.core import MAX_TOTAL_COUNT
 
 NEG_INF = float("-inf")
@@ -85,6 +87,10 @@ class TestAlphaParams:
             with pytest.raises(DomainError):
                 AlphaParams(bad)
 
+    def test_overflowing_sum_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            AlphaParams([1e308, 1e308])
+
 
 class TestMeanPhiParams:
     def test_valid(self):
@@ -109,6 +115,11 @@ class TestMeanPhiParams:
         for bad in (-0.1, 1.0, 1.5, float("nan")):
             with pytest.raises(DomainError):
                 MeanPhiParams([1.0], bad)
+
+    def test_overflowing_sum_is_a_domain_error(self):
+        for renormalize in (False, True):
+            with pytest.raises(DomainError, match="overflows"):
+                MeanPhiParams([1e308, 1e308], 0.1, renormalize=renormalize)
 
     def test_rejects_negative_probability(self):
         with pytest.raises(DomainError):
@@ -162,6 +173,47 @@ class TestExact:
         assert dmn_loglik_lgamma((1.0,), huge).value == 0.0
 
 
+class TestRows:
+    def test_empty_table(self):
+        assert dmn_loglik_rows((1.0, 2.0), []) == []
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            dmn_loglik_rows((1.0, 2.0), [(1, 2), (1, 2, 3)])
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        """The levels of every compensated walk in ``dmnll.core``, in call order."""
+        seen = []
+        walk = core._sum_terms
+
+        def spy(term, start, step, levels):
+            levels = list(levels)
+            seen.append(levels)
+            return walk(term, start, step, levels)
+
+        monkeypatch.setattr(core, "_sum_terms", spy)
+        return seen
+
+    def test_resource_limit_before_any_pass(self, walked):
+        huge = CountVector([MAX_TOTAL_COUNT + 1])
+        with pytest.raises(ResourceLimitError) as per_row:
+            dmn_loglik_exact((1.0,), huge)
+        for params in ((1.0,), MeanPhiParams((1.0,), 0.5)):
+            with pytest.raises(ResourceLimitError) as batched:
+                dmn_loglik_rows(params, [CountVector([10**6]), huge])
+            assert str(batched.value) == str(per_row.value)
+        assert walked == []
+
+    def test_no_walk_past_an_impossible_category(self, walked):
+        # The per-row call ends the first row at its observed zero-probability
+        # category, so no walk needs its second count.
+        mp = MeanPhiParams((0.0, 1.0), 0.5)
+        rows = [(1, 10**6), (0, 3)]
+        assert dmn_loglik_rows(mp, rows) == [dmn_loglik_phi(mp, x) for x in rows]
+        assert max(n for levels in walked for n in levels) == 3
+
+
 # ---------------------------------------------------------------------------
 # dmn_loglik_lgamma
 # ---------------------------------------------------------------------------
@@ -176,6 +228,12 @@ class TestLogGamma:
 
     def test_zero_counts(self):
         assert dmn_loglik_lgamma((2, 3), (0, 0)).value == 0.0
+
+    def test_overflow_is_a_domain_error(self):
+        # lgamma(2e307) overflows a float; the exact route handles the input
+        with pytest.raises(DomainError, match="exact route"):
+            dmn_loglik_lgamma([1e307, 1e307], [1, 1])
+        assert math.isfinite(dmn_loglik_exact([1e307, 1e307], [1, 1]).value)
 
     def test_agrees_with_exact_for_fractional_alpha(self):
         a, x = (0.5, 0.5), (2, 1)

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmnll import (
@@ -16,6 +16,7 @@ from dmnll import (
     dmn_loglik_exact,
     dmn_loglik_lgamma,
     dmn_loglik_phi,
+    dmn_loglik_rows,
     mn_log_pmf,
     mn_loglik_kernel,
     params_from_mean_phi,
@@ -192,3 +193,46 @@ def test_reference_agrees_on_experiment_grids():
         for n in cfg.n_values:
             x = cfg.counts_at(n)
             assert abs(dmn_loglik_exact(alpha, x).value - reference_loglik(alpha, x)) <= 1e-12
+
+
+@st.composite
+def tables_with_params(draw):
+    """A count table with duplicate rows, empty rows and zero-count columns,
+    plus alpha, integer weights for p (zeros allowed) and phi (0 allowed)."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(st.integers(min_value=0, max_value=40), min_size=k, max_size=k)
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=k - 1)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=15))
+    rows = [[0 if j in zero_cols else pool[i][j] for j in range(k)] for i in picks]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * k)
+    alpha = draw(st.lists(positive_alpha, min_size=k, max_size=k))
+    weight = st.integers(min_value=0, max_value=3)
+    weights = draw(st.lists(weight, min_size=k, max_size=k).filter(any))
+    phi = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.999)))
+    return rows, alpha, weights, phi
+
+
+@given(case=tables_with_params())
+# K = 1 with an empty row and duplicates at phi = 0
+@example(case=([[3], [0], [3]], [0.5], [1], 0.0))
+# an observed p_k = 0 after an observed category, a zero column, an empty row
+@example(case=([[0, 2, 1], [4, 0, 0], [0, 0, 0], [4, 0, 0]], [1.0, 2.0, 3.0], [1, 0, 2], 0.3))
+# an observed p_k = 0 in the first category at phi = 0
+@example(case=([[1, 5], [0, 5]], [2.0, 0.25], [0, 1], 0.0))
+@settings(max_examples=200, deadline=None)
+def test_rows_match_per_row_calls_bitwise(case):
+    """The shared-pass evaluator returns, row for row, the per-row call's
+    value (same bits, -inf included) and terms."""
+    rows, alpha, weights, phi = case
+    p = [w / sum(weights) for w in weights]
+    for params, per_row in (
+        (AlphaParams(alpha), dmn_loglik_exact),
+        (MeanPhiParams(p, phi), dmn_loglik_phi),
+    ):
+        batched = dmn_loglik_rows(params, rows)
+        expected = [per_row(params, x) for x in rows]
+        assert [(r.value.hex(), r.terms, r.method) for r in batched] == [
+            (r.value.hex(), r.terms, r.method) for r in expected
+        ]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmnll import (
     AlphaParams,
@@ -83,6 +85,49 @@ class TestGradient:
                 down[j] -= h
                 fd = (loglik_dataset(up.tolist(), d) - loglik_dataset(down.tolist(), d)) / (2 * h)
                 assert abs(g[j] - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+def _recips_one_walk(start, count):
+    """Neumaier-compensated sum of 1/(start + j) for j < count, on its own."""
+    s = 0.0
+    c = 0.0
+    for j in range(count):
+        t = 1.0 / (start + j)
+        total = s + t
+        if abs(s) >= abs(t):
+            c += (s - total) + t
+        else:
+            c += (t - total) + s
+        s = total
+    return s + c
+
+
+def _per_row_gradient(alpha, d):
+    """grad_loglik computed the direct way: one walk per row and category."""
+    alpha = AlphaParams(alpha)
+    parts = [[] for _ in range(d.k)]
+    for x in d.observations:
+        den = _recips_one_walk(alpha.sum_a, x.total)
+        for i, (a_k, x_k) in enumerate(zip(alpha.alpha, x.counts)):
+            parts[i].append(_recips_one_walk(a_k, x_k) - den)
+    return np.array([math.fsum(p) for p in parts])
+
+
+@st.composite
+def alpha_and_table(draw):
+    k = draw(st.integers(min_value=1, max_value=5))
+    a = st.floats(min_value=0.01, max_value=100.0)
+    alpha = draw(st.lists(a, min_size=k, max_size=k))
+    row = st.lists(st.integers(min_value=0, max_value=40), min_size=k, max_size=k)
+    return alpha, draw(st.lists(row, min_size=1, max_size=12))
+
+
+@given(case=alpha_and_table())
+@settings(max_examples=150, deadline=None)
+def test_gradient_matches_per_row_walks_bitwise(case):
+    alpha, rows = case
+    d = Dataset(rows)
+    assert grad_loglik(alpha, d).tobytes() == _per_row_gradient(alpha, d).tobytes()
 
 
 class TestFit:
