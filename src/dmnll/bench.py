@@ -23,7 +23,6 @@ import gc
 import json
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -254,33 +253,23 @@ def _run_point(
     return records
 
 
-def run_accuracy_experiment(
-    cfg: ExperimentConfig, threads: int | None = None
-) -> list[BenchRecord]:
+def _sweep(cfg: ExperimentConfig) -> list[BenchRecord]:
+    """Both evaluators at every grid point, in grid order, on the calling thread."""
+    alpha = cfg.alpha()
+    return [
+        rec
+        for n in cfg.n_values
+        for rec in _run_point(cfg, alpha, n, reference_loglik(alpha, cfg.counts_at(n)))
+    ]
+
+
+def run_accuracy_experiment(cfg: ExperimentConfig) -> list[BenchRecord]:
     """Error of both evaluators against the reference at every grid point.
 
-    Grid points are independent, so they may be evaluated by a small thread
-    pool (``threads=None`` picks one thread per grid point, capped at 8);
-    records are always returned in grid order.  Wall times measured here are
+    Records are returned in grid order.  Wall times measured here are
     informational; use :func:`run_runtime_experiment` for timing claims.
     """
-    alpha = cfg.alpha()
-    # The reference's precision context is process-global, so references are
-    # computed up front on one thread; only the evaluator runs fan out.
-    refs = [reference_loglik(alpha, cfg.counts_at(n)) for n in cfg.n_values]
-    if threads is None:
-        threads = min(len(cfg.n_values), 8)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_point = list(
-                pool.map(
-                    lambda pair: _run_point(cfg, alpha, *pair),
-                    zip(cfg.n_values, refs),
-                )
-            )
-    else:
-        per_point = [_run_point(cfg, alpha, n, r) for n, r in zip(cfg.n_values, refs)]
-    return [rec for point in per_point for rec in point]
+    return _sweep(cfg)
 
 
 def run_runtime_experiment(cfg: ExperimentConfig) -> list[BenchRecord]:
@@ -289,12 +278,7 @@ def run_runtime_experiment(cfg: ExperimentConfig) -> list[BenchRecord]:
     Strictly sequential and single-threaded so concurrent work cannot
     contaminate the timings.
     """
-    alpha = cfg.alpha()
-    return [
-        rec
-        for n in cfg.n_values
-        for rec in _run_point(cfg, alpha, n, reference_loglik(alpha, cfg.counts_at(n)))
-    ]
+    return _sweep(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -257,9 +257,8 @@ def cmd_bench(args) -> int:
         # the grid and repeats came straight from the flags
         raise UsageError(str(exc)) from exc
     if args.experiment == "accuracy":
-        records = bench.run_accuracy_experiment(cfg, threads=args.threads)
+        records = bench.run_accuracy_experiment(cfg)
     else:
-        # Timing experiment: always a single thread.
         records = bench.run_runtime_experiment(cfg)
     if args.format == "json":
         _emit(bench.records_to_json(records), args.out)
@@ -312,11 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("experiment", choices=("accuracy", "runtime"))
     p_bench.add_argument("--n", help="count multipliers, comma-separated")
     p_bench.add_argument("--repeats", type=int, help="timing repeats (median taken)")
-    p_bench.add_argument(
-        "--threads",
-        type=int,
-        help="worker threads for the accuracy sweep (runtime is always 1)",
-    )
     add_output_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, Union
@@ -63,6 +64,7 @@ SIMPLEX_TOL = 1e-12
 
 _MAX_COUNT = (1 << 63) - 1
 _NEG_INF = float("-inf")
+_MIN_NORMAL = sys.float_info.min
 
 
 class DmnError(Exception):
@@ -269,7 +271,7 @@ def _check_budget(x: CountVector) -> None:
 
 
 def _sum_terms(
-    term, start: float, step: float, levels: Iterable[int]
+    term, start: float, step: float, levels: Iterable[int], first: float | None = None
 ) -> list[tuple[float, float]]:
     """Neumaier-compensated prefix sums of term(start + j*step), j = 0, 1, ...
 
@@ -280,12 +282,17 @@ def _sum_terms(
     levels asked for, so the state recorded for n is bit for bit the state
     of a walk of n terms alone.  Sum and compensation stay separate so
     callers can merge partial sums without an intermediate rounding.
+    ``first``, when given, is the j = 0 term in place of term(start).
     """
     states = []
     s = 0.0
     c = 0.0
     done = 0
     for stop in levels:
+        if first is not None and done == 0 < stop:
+            # the state one step of the loop below leaves from (0, 0)
+            s = 0.0 + first
+            done = 1
         for j in range(done, stop):
             t = term(start + step * j)
             total = s + t
@@ -302,14 +309,27 @@ def _sum_terms(
 def _sum_logs(
     start: float, step: float, levels: Iterable[int]
 ) -> list[tuple[float, float]]:
-    """:func:`_sum_terms` of log(start + j*step) at each of ``levels``.
-
-    ``start == 0`` (a zero-probability category) makes every level above 0
-    ``(-inf, 0.0)``: the observed category is impossible.
-    """
-    if start <= 0.0:
-        return [(_NEG_INF, 0.0) if n > 0 else (0.0, 0.0) for n in levels]
+    """:func:`_sum_terms` of log(start + j*step) at each of ``levels``."""
     return _sum_terms(math.log, start, step, levels)
+
+
+def _sum_phi_logs(
+    p_k: float, phi: float, levels: Iterable[int]
+) -> list[tuple[float, float]]:
+    """:func:`_sum_logs` of log(p_k (1-phi) + j phi) at each of ``levels``.
+
+    ``p_k == 0`` (a zero-probability category) makes every level above 0
+    ``(-inf, 0.0)``: the observed category is impossible.  When the product
+    p_k (1-phi) is subnormal, or underflows to 0, it has lost precision, so
+    the first term is log(p_k) + log1p(-phi) instead of the log of the product.
+    """
+    if p_k == 0.0:
+        return [(_NEG_INF, 0.0) if n > 0 else (0.0, 0.0) for n in levels]
+    start = p_k * (1.0 - phi)
+    if start >= _MIN_NORMAL:
+        return _sum_terms(math.log, start, phi, levels)
+    first = math.log(p_k) + math.log1p(-phi)
+    return _sum_terms(math.log, start, phi, levels, first)
 
 
 def _reciprocal(y: float) -> float:
@@ -435,7 +455,9 @@ def dmn_loglik_phi(mp: MeanPhiParams, x: CountsLike) -> LogLikResult:
     terms become log(1) = 0 and the numerator reduces to the multinomial
     kernel sum_k x_k log p_k with no special-casing.  A zero-probability
     category that was observed yields ``-inf`` (a valid, infinitely bad
-    objective value), never NaN.
+    objective value), never NaN.  A category with p_k > 0 is never
+    impossible: where p_k (1-phi) is subnormal or underflows, its first
+    term is log(p_k) + log1p(-phi).
     """
     if not isinstance(mp, MeanPhiParams):
         raise DomainError("dmn_loglik_phi expects MeanPhiParams")
@@ -443,17 +465,16 @@ def dmn_loglik_phi(mp: MeanPhiParams, x: CountsLike) -> LogLikResult:
     _check_lengths(len(mp.p), x)
     _check_budget(x)
     phi = mp.phi
-    w = 1.0 - phi
     parts: list[float] = []
     n_logs = 0
     for p_k, x_k in zip(mp.p, x.counts):
-        s, c = _sum_logs(p_k * w, phi, (x_k,))[0]
+        s, c = _sum_phi_logs(p_k, phi, (x_k,))[0]
         if s == _NEG_INF:
             return LogLikResult(_NEG_INF, Method.PHI_FORM, n_logs)
         parts.append(s)
         parts.append(c)
         n_logs += x_k
-    s, c = _sum_logs(w, phi, (x.total,))[0]
+    s, c = _sum_logs(1.0 - phi, phi, (x.total,))[0]
     parts.append(-s)
     parts.append(-c)
     n_logs += x.total
@@ -481,12 +502,13 @@ def dmn_loglik_rows(
     is validated, in order, before any pass starts.
     """
     if isinstance(params, MeanPhiParams):
-        w = 1.0 - params.phi
-        starts, step, den_start = [p_k * w for p_k in params.p], params.phi, w
+        starts, step, sums = params.p, params.phi, _sum_phi_logs
+        den_start = 1.0 - params.phi
         method = Method.PHI_FORM
     else:
         alpha = _as_alpha(params)
-        starts, step, den_start = alpha.alpha, 1.0, alpha.sum_a
+        starts, step, sums = alpha.alpha, 1.0, _sum_logs
+        den_start = alpha.sum_a
         method = Method.EXACT
     checked: list[CountVector] = []
     for x in rows:
@@ -498,8 +520,8 @@ def dmn_loglik_rows(
     reach = checked  # the rows whose per-row call gets as far as category k
     for k, start in enumerate(starts):
         column = (x.counts[k] for x in reach)
-        num.append(_states_by_level(column, _sum_logs, start, step))
-        if start <= 0.0:
+        num.append(_states_by_level(column, sums, start, step))
+        if start == 0.0:
             # an observed zero-probability category ends the row at -inf
             reach = [x for x in reach if x.counts[k] == 0]
     den = _states_by_level((x.total for x in reach), _sum_logs, den_start, step)
@@ -539,7 +561,7 @@ def mn_loglik_kernel(p: Sequence[float], x: CountsLike) -> float:
     _check_budget(x)
     parts: list[float] = []
     for p_k, x_k in zip(probs, x.counts):
-        s, c = _sum_logs(p_k, 0.0, (x_k,))[0]
+        s, c = _sum_phi_logs(p_k, 0.0, (x_k,))[0]
         if s == _NEG_INF:
             return _NEG_INF
         parts.append(s)

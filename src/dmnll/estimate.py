@@ -11,13 +11,15 @@ Dirichlet distribution", 2000) written entirely in those reciprocal sums:
                        / [sum_obs sum_{i < N}   1/(A + i)]
 
 Each step maximizes a lower bound on the likelihood, so the log-likelihood
-trace never decreases; the iteration aggregates observations into tail-count
-histograms so one step costs O(max count), not O(total count).
+trace never decreases beyond rounding error.  The iteration aggregates
+observations into tail-count histograms laid end to end on one flat grid of
+count levels, sum_k max x_k + max N of them (at most 2^23), so one iterate
+costs a few array passes over that grid, not O(total count): one log per
+level for its log-likelihood and one division per level for its step.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -57,8 +59,13 @@ ALPHA_FLOOR = 1e-8
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 1000
 
-_MONOTONE_SLACK = 1e-10
-_MAX_FIT_COUNT = 1 << 26  # per-level histograms; larger counts would thrash memory
+#: Largest grid, in count levels, the fixed point builds.  A fit peaks at
+#: about 72 bytes per level (float arrays of the grid's size and the list
+#: of floats ``fsum`` reads; measured with tracemalloc), so this bound keeps
+#: it under about 0.6 GiB.
+_MAX_FIT_LEVELS = 1 << 23
+
+_EPS = float(np.finfo(float).eps)
 
 
 class MonotonicityError(DmnError):
@@ -97,9 +104,9 @@ class FitResult:
 
     ``loglik`` is the observation-level sum ``loglik_dataset(alpha_hat, d)``.
     ``trace`` holds (iteration, log-likelihood) pairs from the fitter's
-    aggregated evaluation; its values are non-decreasing.  ``floored`` lists
-    the category indices that were pinned to :data:`ALPHA_FLOOR` because no
-    observation ever contained them.
+    aggregated evaluation; its values are non-decreasing up to rounding.
+    ``floored`` lists the category indices that were pinned to
+    :data:`ALPHA_FLOOR` because no observation ever contained them.
     """
 
     alpha_hat: AlphaParams
@@ -151,61 +158,80 @@ def grad_loglik(alpha: AlphaLike, d: Dataset) -> np.ndarray:
 
 
 class _TailCounts:
-    """Sufficient statistics for the fixed point.
+    """Sufficient statistics for the fixed point, on one flat level grid.
 
-    ``per_category[k][j]`` counts observations with x_k > j, and
-    ``totals[i]`` counts observations with N > i, so that
-    sum_obs sum_{j < x_k} f(j) == sum_j per_category[k][j] * f(j).
+    Block k < K of the grid holds category k's tail counts, the number of
+    observations with x_k > j at level j = 0 .. max x_k - 1; the last block
+    holds the totals' tail counts, observations with N > i, negated.  So
+    sum_obs [sum_{j < x_k} f(a_k + j) - sum_{i < N} f(A + i)] is the
+    weighted sum of f over the grid ``at(alpha)``, whose entries are
+    alpha_k + j and A + i.  One iterate evaluates its log-likelihood and
+    the next step from the same grid, each one array pass over the levels.
     """
 
     def __init__(self, d: Dataset):
-        m = np.array([o.counts for o in d.observations], dtype=np.int64)
+        counts = [o.counts for o in d.observations]
+        totals = [o.total for o in d.observations]
+        tops = [max(column) for column in zip(*counts)] + [max(totals)]
+        n_levels = sum(tops)
+        if n_levels > _MAX_FIT_LEVELS:
+            raise ResourceLimitError(
+                f"fitting builds one grid of sum_k max x_k + max N = {n_levels} "
+                f"count levels, more than the supported maximum of {_MAX_FIT_LEVELS}"
+            )
+        m = np.array(counts, dtype=np.int64)
         self.pooled = m.sum(axis=0, dtype=np.float64)
-        self.per_category = [_tail(m[:, k]) for k in range(d.k)]
-        self.totals = _tail(np.array([o.total for o in d.observations], dtype=np.int64))
-        self.n_obs = len(d.observations)
+        columns = [*m.T, np.array(totals, dtype=np.int64)]
+        self.sizes = np.array(tops)
+        self.weights = np.concatenate(
+            [_tail(col, top) for col, top in zip(columns, tops)]
+        )
+        bounds = np.cumsum([0, *tops]).tolist()
+        self.weights[bounds[-2]:] *= -1.0
+        self.blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        self.levels = np.concatenate([np.arange(top, dtype=float) for top in tops])
+        self.weight_sum = float(np.abs(self.weights).sum())
 
-    def loglik(self, alpha: np.ndarray) -> float:
-        """Aggregated evaluation of loglik_dataset at ``alpha`` (same math,
-        one weighted log per distinct count level)."""
-        a_sum = math.fsum(alpha)
-        num_arrays = [
-            tail * np.log(a_k + np.arange(tail.size))
-            for a_k, tail in zip(alpha, self.per_category)
-            if tail.size
-        ]
-        den = self.totals * np.log(a_sum + np.arange(self.totals.size))
-        return math.fsum(itertools.chain(*num_arrays, -den))
+    def at(self, alpha: np.ndarray) -> np.ndarray:
+        """The grid alpha_k + j, then A + i, with A = fsum(alpha)."""
+        starts = alpha.tolist()
+        starts.append(math.fsum(starts))
+        return np.repeat(starts, self.sizes) + self.levels
 
-    def step(self, alpha: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        a_sum = math.fsum(alpha)
-        den = float(np.sum(self.totals / (a_sum + np.arange(self.totals.size))))
-        new = np.empty_like(alpha)
-        pinned = []
-        for k, tail in enumerate(self.per_category):
-            if tail.size == 0:
-                new[k] = ALPHA_FLOOR
-                pinned.append(k)
-                continue
-            num = float(np.sum(tail / (alpha[k] + np.arange(tail.size))))
-            cand = alpha[k] * num / den
-            if cand < ALPHA_FLOOR:
-                cand = ALPHA_FLOOR
-                pinned.append(k)
-            new[k] = cand
-        return new, pinned
+    def loglik(self, grid: np.ndarray) -> float:
+        """Aggregated evaluation of loglik_dataset at the grid's alpha (same
+        math, one weighted log per count level, merged by ``fsum``)."""
+        return math.fsum((self.weights * np.log(grid)).tolist())
+
+    def rounding_error(self, grid: np.ndarray) -> float:
+        """A bound on the rounding error of :meth:`loglik` on ``grid``.
+
+        Rounding a + j moves its log by at most eps/2, absolute, so a term
+        w * log(x) by w eps/2; the log (allowing np.log 4 ulps), the
+        product and the exactly rounded fsum add at most 5 eps of |term|.
+        """
+        terms = np.abs(self.weights * np.log(grid))
+        return _EPS * (5.0 * float(terms.sum()) + 0.5 * self.weight_sum)
+
+    def step(self, alpha: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """One fixed-point step from ``alpha``, whose grid is ``grid``."""
+        q = self.weights / grid
+        # Each block is summed on its own, as np.sum would sum it alone;
+        # negating the totals block back is exact.
+        sums = [np.add.reduce(q[block]) for block in self.blocks]
+        den = -sums.pop()
+        # A never-observed category has an empty block and a zero sum, so
+        # it lands on the floor with the categories that fall below it.
+        new = alpha * np.array(sums) / den
+        low = new < ALPHA_FLOOR
+        new[low] = ALPHA_FLOOR
+        return new, low.nonzero()[0].tolist()
 
 
-def _tail(values: np.ndarray) -> np.ndarray:
-    """Tail-count histogram: result[j] = #entries strictly greater than j."""
-    top = int(values.max())
+def _tail(values: np.ndarray, top: int) -> np.ndarray:
+    """Tail-count histogram up to ``top = max(values)``: result[j] = #entries > j."""
     if top == 0:
         return np.zeros(0)
-    if top > _MAX_FIT_COUNT:
-        raise ResourceLimitError(
-            f"fitting aggregates counts into per-level histograms; a count of "
-            f"{top} exceeds the supported maximum of {_MAX_FIT_COUNT}"
-        )
     hist = np.bincount(values, minlength=top + 1)
     return (values.size - np.cumsum(hist))[:top].astype(float)
 
@@ -260,21 +286,27 @@ def fit_alpha_mle(
             )
         alpha = np.array(init.alpha)
 
-    ll = stats.loglik(alpha)
+    grid = stats.at(alpha)
+    ll = stats.loglik(grid)
     trace = [(0, ll)] if record_trace else None
     converged = False
     iterations = 0
     floored: set[int] = set()
 
     for it in range(1, max_iter + 1):
-        new_alpha, pinned = stats.step(alpha)
-        new_ll = stats.loglik(new_alpha)
-        if new_ll < ll - _MONOTONE_SLACK:
+        new_alpha, pinned = stats.step(alpha, grid)
+        new_grid = stats.at(new_alpha)
+        new_ll = stats.loglik(new_grid)
+        # A drop within the two values' rounding errors is no decrease.
+        if new_ll < ll and ll - new_ll > (
+            stats.rounding_error(grid) + stats.rounding_error(new_grid)
+        ):
             raise MonotonicityError(
                 f"log-likelihood decreased at iteration {it}: {ll!r} -> {new_ll!r}"
             )
-        rel_change = float(np.max(np.abs(new_alpha - alpha) / alpha))
+        rel_change = float((np.abs(new_alpha - alpha) / alpha).max())
         alpha = new_alpha
+        grid = new_grid
         ll = new_ll
         iterations = it
         floored.update(pinned)

@@ -1,7 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from dmnll import AlphaParams, CountVector
+from dmnll.estimate import ALPHA_FLOOR
 
 
 @pytest.fixture
@@ -21,3 +25,61 @@ def random_counts(rng, k, n_max, allow_empty=True) -> CountVector:
     total = int(np.exp(rng.uniform(0.0, np.log(n_max))))
     p = rng.dirichlet(np.ones(k))
     return CountVector(rng.multinomial(total, p).tolist())
+
+
+class OldTailCounts:
+    """The fixed point's statistics as one histogram per category, each
+    evaluated on its own: the reference the flat level grid of
+    ``dmnll.estimate._TailCounts`` must match bit for bit.
+
+    It plugs into the fitter through the grid interface: its grid is alpha
+    itself, and a drop counts as a decrease beyond a fixed slack of 1e-10.
+    """
+
+    def __init__(self, d):
+        m = np.array([o.counts for o in d.observations], dtype=np.int64)
+        self.pooled = m.sum(axis=0, dtype=np.float64)
+        self.per_category = [_old_tail(m[:, k]) for k in range(d.k)]
+        self.totals = _old_tail(np.array([o.total for o in d.observations], dtype=np.int64))
+
+    def at(self, alpha):
+        return alpha
+
+    def rounding_error(self, grid):
+        return 0.5e-10
+
+    def loglik(self, alpha):
+        a_sum = math.fsum(alpha)
+        num_arrays = [
+            tail * np.log(a_k + np.arange(tail.size))
+            for a_k, tail in zip(alpha, self.per_category)
+            if tail.size
+        ]
+        den = self.totals * np.log(a_sum + np.arange(self.totals.size))
+        return math.fsum(itertools.chain(*num_arrays, -den))
+
+    def step(self, alpha, grid):
+        a_sum = math.fsum(alpha)
+        den = float(np.sum(self.totals / (a_sum + np.arange(self.totals.size))))
+        new = np.empty_like(alpha)
+        pinned = []
+        for k, tail in enumerate(self.per_category):
+            if tail.size == 0:
+                new[k] = ALPHA_FLOOR
+                pinned.append(k)
+                continue
+            num = float(np.sum(tail / (alpha[k] + np.arange(tail.size))))
+            cand = alpha[k] * num / den
+            if cand < ALPHA_FLOOR:
+                cand = ALPHA_FLOOR
+                pinned.append(k)
+            new[k] = cand
+        return new, pinned
+
+
+def _old_tail(values):
+    top = int(values.max())
+    if top == 0:
+        return np.zeros(0)
+    hist = np.bincount(values, minlength=top + 1)
+    return (values.size - np.cumsum(hist))[:top].astype(float)

@@ -78,7 +78,7 @@ class TestConfig:
 @pytest.fixture(scope="module")
 def small_accuracy():
     cfg = accuracy_defaults(n_values=(1, 2, 5), repeats=3, evaluations_per_point=3)
-    return cfg, run_accuracy_experiment(cfg, threads=1)
+    return cfg, run_accuracy_experiment(cfg)
 
 
 class TestExperiments:
@@ -108,8 +108,8 @@ class TestExperiments:
 
     def test_deterministic_apart_from_wall_time(self):
         cfg = accuracy_defaults(n_values=(1, 5), repeats=3, evaluations_per_point=3)
-        a = run_accuracy_experiment(cfg, threads=1)
-        b = run_accuracy_experiment(cfg, threads=2)
+        a = run_accuracy_experiment(cfg)
+        b = run_accuracy_experiment(cfg)
         key = lambda recs: [(r.n_scale, r.method, r.abs_error, r.rel_error, r.terms) for r in recs]
         assert key(a) == key(b)
 
@@ -121,7 +121,7 @@ class TestExperiments:
 
     def test_n_zero_rows_have_zero_error(self):
         cfg = accuracy_defaults(n_values=(0, 1), repeats=3, evaluations_per_point=3)
-        records = run_accuracy_experiment(cfg, threads=1)
+        records = run_accuracy_experiment(cfg)
         for r in records:
             if r.n_scale == 0:
                 assert r.abs_error == 0.0

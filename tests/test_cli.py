@@ -7,9 +7,16 @@ import sys
 
 import pytest
 
-from dmnll import MeanPhiParams, dmn_loglik_exact, dmn_loglik_phi, sample_dmn_dataset
+from dmnll import (
+    MeanPhiParams,
+    dmn_loglik_exact,
+    dmn_loglik_phi,
+    estimate,
+    sample_dmn_dataset,
+)
 from dmnll.bench import canonical_json
 from dmnll.cli import main, parse_count_table, TableParseError
+from conftest import OldTailCounts
 
 
 def run_cli(capsys, *argv):
@@ -298,6 +305,26 @@ class TestFit:
         fields = dict(line.split(",", 1) for line in lines[1:])
         assert set(fields) == {"alpha_a", "alpha_b", "loglik", "iterations", "converged", "floored"}
         assert fields["converged"] in ("true", "false")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_matches_per_category_histograms_bytewise(
+        self, capsys, counts_file, monkeypatch, fmt
+    ):
+        rows = sample_dmn_dataset((10.0, 30.0, 60.0, 16.0, 44.0), 200, 300, seed=9).observations
+        path = counts_file("".join(",".join(map(str, x.counts)) + "\n" for x in rows))
+        argv = ("fit", path, "--max-iter", "5000", "--format", fmt)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr(estimate, "_TailCounts", OldTailCounts)
+        assert run_cli(capsys, *argv) == (0, out, "")
+
+    def test_grid_over_the_level_bound_is_one_error_line(self, capsys, counts_file):
+        path = counts_file(f"{1 << 40},{1 << 40}\n")
+        code, out, err = run_cli(capsys, "fit", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "count levels" in err
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,14 @@ class TestPhiForm:
         res = dmn_loglik_phi(MeanPhiParams((1.0, 0.0), 0.25), (3, 0))
         assert math.isfinite(res.value)
 
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    @pytest.mark.parametrize("p_1", [5e-324, 3e-320, 1e-310])
+    def test_subnormal_product_keeps_log_p(self, p_1, phi):
+        # p_1 (1 - phi) is subnormal or 0; a one-count row's kernel is log p_1
+        res = dmn_loglik_phi(MeanPhiParams((p_1, 1.0), phi), (1, 0))
+        assert res.value == pytest.approx(math.log(p_1), abs=1e-12)
+        assert res.terms == 2
+
 
 # ---------------------------------------------------------------------------
 # mn_loglik_kernel

@@ -221,6 +221,10 @@ def tables_with_params(draw):
 @example(case=([[0, 2, 1], [4, 0, 0], [0, 0, 0], [4, 0, 0]], [1.0, 2.0, 3.0], [1, 0, 2], 0.3))
 # an observed p_k = 0 in the first category at phi = 0
 @example(case=([[1, 5], [0, 5]], [2.0, 0.25], [0, 1], 0.0))
+# p_1 (1 - phi) subnormal or underflowing to 0 with p_1 > 0 (float weights)
+@example(case=([[1, 0], [2, 3], [0, 4], [1, 0]], [1.0, 2.0], [5e-324, 1.0], 0.5))
+@example(case=([[1, 0], [3, 1], [0, 0]], [0.5, 3.0], [3e-320, 1.0], 0.9))
+@example(case=([[2, 2], [1, 0]], [1.5, 1.5], [1e-310, 1.0], 0.0))
 @settings(max_examples=200, deadline=None)
 def test_rows_match_per_row_calls_bitwise(case):
     """The shared-pass evaluator returns, row for row, the per-row call's

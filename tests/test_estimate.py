@@ -1,10 +1,11 @@
 """Tests for dataset likelihood, gradient, and the fixed-point fitter."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dmnll import (
@@ -13,13 +14,16 @@ from dmnll import (
     Dataset,
     DimensionMismatchError,
     DomainError,
+    ResourceLimitError,
+    estimate,
     fit_alpha_mle,
     grad_loglik,
     loglik_dataset,
     sample_dmn_dataset,
     sample_mn_dataset,
 )
-from dmnll.estimate import ALPHA_FLOOR
+from dmnll.estimate import ALPHA_FLOOR, MonotonicityError
+from conftest import OldTailCounts
 
 
 class TestDataset:
@@ -202,3 +206,78 @@ class TestFit:
     def test_record_trace_off(self):
         result = fit_alpha_mle(Dataset([(1, 2), (2, 1)]), max_iter=5, record_trace=False)
         assert result.trace is None
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_large_table_converges(self, seed):
+        # |loglik| is about 2.8e6, where one ulp (4.7e-10) is more than a
+        # fixed slack of 1e-10, and the trace dips by an ulp on the way.
+        d = sample_dmn_dataset((2, 5, 3, 1, 4), 200, 10000, seed=seed)
+        result = fit_alpha_mle(d, max_iter=5000)
+        assert result.converged
+
+    def test_clearly_worse_step_raises(self, monkeypatch):
+        d = sample_dmn_dataset((2.0, 5.0, 3.0), n_trials=50, n_obs=300, seed=5)
+        mle = fit_alpha_mle(d).alpha_hat
+        step = estimate._TailCounts.step
+
+        def worse(self, alpha, grid):
+            new, pinned = step(self, alpha, grid)
+            return new * np.array([2.0, 1.0, 1.0]), pinned
+
+        monkeypatch.setattr(estimate._TailCounts, "step", worse)
+        with pytest.raises(MonotonicityError, match="at iteration 1:"):
+            fit_alpha_mle(d, init=mle)
+
+    # Each count of the first row is below 2^23, but its grid has 2^24
+    # levels; the second row's counts are near 2^63.
+    @pytest.mark.parametrize("row", [(1 << 22, 1 << 22), ((1 << 62) + 1, 1 << 62)])
+    def test_grid_over_the_level_bound_fails_before_allocating(self, row):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"{sum(row) * 2} count levels"):
+                fit_alpha_mle(Dataset([row]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a grid of 2^23 float levels alone is 64 MiB
+
+
+@st.composite
+def fit_cases(draw):
+    """Tables with K = 2..6, never-observed categories, all-zero rows and
+    single rows, and an iteration cap of 0, small or large."""
+    k = draw(st.integers(min_value=2, max_value=6))
+    row = st.lists(st.integers(min_value=0, max_value=30), min_size=k, max_size=k)
+    rows = draw(st.lists(row, min_size=1, max_size=10))
+    unobserved = draw(st.sets(st.integers(min_value=0, max_value=k - 1), max_size=k - 1))
+    rows = [[0 if j in unobserved else c for j, c in enumerate(r)] for r in rows]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * k)
+    assume(any(map(any, rows)))
+    return rows, draw(st.sampled_from([0, 1, 7, 5000]))
+
+
+def _fit_fields(result):
+    return (
+        [a.hex() for a in result.alpha_hat.alpha],
+        result.loglik.hex(),
+        result.iterations,
+        result.converged,
+        result.floored,
+        [(i, v.hex()) for i, v in result.trace],
+    )
+
+
+@given(case=fit_cases())
+@settings(max_examples=80, deadline=None)
+def test_fit_matches_per_category_histograms_bitwise(case):
+    rows, max_iter = case
+    d = Dataset(rows)
+    new = fit_alpha_mle(d, max_iter=max_iter, record_trace=True)
+    real = estimate._TailCounts
+    estimate._TailCounts = OldTailCounts
+    try:
+        old = fit_alpha_mle(d, max_iter=max_iter, record_trace=True)
+    finally:
+        estimate._TailCounts = real
+    assert _fit_fields(new) == _fit_fields(old)
