@@ -38,8 +38,7 @@ from .core import (
     Method,
     _as_alpha,
     _as_counts,
-    _check_budget,
-    _check_lengths,
+    _checked,
     dmn_loglik_exact,
     dmn_loglik_lgamma,
     params_from_mean_phi,
@@ -91,9 +90,7 @@ def reference_loglik(alpha: AlphaLike, x: CountsLike) -> float:
     truth when measuring evaluator error.
     """
     alpha = _as_alpha(alpha)
-    x = _as_counts(x)
-    _check_lengths(len(alpha.alpha), x)
-    _check_budget(x)
+    x = _checked(len(alpha.alpha), x)
     with mpmath.workdps(REFERENCE_DPS):
         num = mpmath.fsum(
             mpmath.log(mpmath.mpf(a_k) + j)

@@ -26,7 +26,7 @@ from .core import (
     dmn_loglik_rows,
     params_from_mean_phi,
 )
-from .estimate import Dataset, fit_alpha_mle
+from .estimate import DEFAULT_MAX_ITER, DEFAULT_TOL, Dataset, fit_alpha_mle
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -159,7 +159,7 @@ def _resolve_eval_params(args):
 def cmd_loglik(args) -> int:
     table = _read_table(args.table)
     params, method = _resolve_eval_params(args)
-    k = len(params.p if isinstance(params, MeanPhiParams) else params.alpha)
+    k = len(params)
     if k != len(table.rows[0].counts):
         raise DmnError(
             f"parameters have {k} categories but the table has "
@@ -302,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="maximum-likelihood fit of alpha from a count table")
     p_fit.add_argument("table", help="counts CSV ('-' for stdin)")
     p_fit.add_argument("--alpha", help="initial concentration parameters (optional)")
-    p_fit.add_argument("--tol", type=float, default=1e-8)
-    p_fit.add_argument("--max-iter", type=int, default=1000)
+    p_fit.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_fit.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     add_output_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 

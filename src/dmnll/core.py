@@ -15,7 +15,11 @@ conventional log-gamma baseline it is benchmarked against
 phi = 0, where the distribution degenerates to the plain multinomial.
 With the parameters fixed, every row of a table walks a prefix of the same
 log sequence, so :func:`dmn_loglik_rows` evaluates a whole table from one
-shared walk per category, bit for bit equal to the per-row calls.
+shared walk per category, bit for bit equal to the per-row calls.  The
+per-row and table evaluators read the parameters in one place (``_route``),
+check each row in one place (``_checked``) and merge its states in one
+place (``_merge``); they differ only in where the states come from, a row's
+own walks or lookups into the shared ones.
 
 Numerical policy: every inner sum is accumulated in ascending index order
 with Neumaier compensation, and the per-category partial sums are merged
@@ -31,6 +35,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -162,11 +167,18 @@ class AlphaParams:
 
 
 def _finite_fsum(values: Sequence[float], what: str) -> float:
-    """``math.fsum`` of finite values; an overflowing sum is a :class:`DomainError`."""
+    """``math.fsum`` of ``values``; a sum that is not finite is a :class:`DomainError`.
+
+    A value that already overflowed (``inf``, or the NaN of ``inf - inf``)
+    makes the sum not finite too.
+    """
     try:
-        return math.fsum(values)
-    except OverflowError as exc:
-        raise DomainError(f"{what} overflows a float") from exc
+        total = math.fsum(values)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"{what} overflows a float")
+    return total
 
 
 def _as_simplex(p: Sequence[float], *, renormalize: bool = False) -> tuple[float, ...]:
@@ -265,6 +277,14 @@ def _check_budget(x: CountVector) -> None:
         )
 
 
+def _checked(k_params: int, x: CountsLike) -> CountVector:
+    """``x`` as a :class:`CountVector` with K = ``k_params`` categories, within budget."""
+    x = _as_counts(x)
+    _check_lengths(k_params, x)
+    _check_budget(x)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Compensated summation primitive
 # ---------------------------------------------------------------------------
@@ -352,6 +372,60 @@ def _states_by_level(column: Iterable[int], sums, *args) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# The evaluation path the sum-of-logs evaluators share
+# ---------------------------------------------------------------------------
+
+
+def _route(params: AlphaLike | MeanPhiParams):
+    """Starts, step, numerator walk, denominator start and method of ``params``.
+
+    The one place that tells concentration parameters from (p, phi).
+    Category k's numerator is ``walk(starts[k], step, levels)`` and the
+    denominator ``_sum_logs(den_start, step, levels)``.
+    """
+    if isinstance(params, MeanPhiParams):
+        return params.p, params.phi, _sum_phi_logs, 1.0 - params.phi, Method.PHI_FORM
+    alpha = _as_alpha(params)
+    return alpha.alpha, 1.0, _sum_logs, alpha.sum_a, Method.EXACT
+
+
+def _merge(x: CountVector, method: Method, lookups: Sequence) -> LogLikResult:
+    """Row ``x``'s result: the ``math.fsum`` of its K + 1 compensated states.
+
+    ``lookups[k](n)`` is walk k's ``(s, c)`` after n terms: walks 0 .. K-1
+    are the categories' numerator sums, walk K the denominator.  They are
+    read in that order and none after an impossible category
+    (``s == -inf``): the row is then ``-inf`` and its ``terms`` are the
+    counts of the categories before it; otherwise ``terms`` is ``2N``.
+    """
+    parts: list[float] = []
+    n_logs = 0
+    for lookup, x_k in zip(lookups, x.counts):
+        s, c = lookup(x_k)
+        if s == _NEG_INF:
+            return LogLikResult(_NEG_INF, method, n_logs)
+        parts += (s, c)
+        n_logs += x_k
+    s, c = lookups[-1](x.total)
+    parts += (-s, -c)
+    return LogLikResult(math.fsum(parts), method, n_logs + x.total)
+
+
+def _own_walk(walk, start: float, step: float, n: int) -> tuple[float, float]:
+    """The state of a walk of n terms taken on its own."""
+    return walk(start, step, (n,))[0]
+
+
+def _walk_row(params: AlphaParams | MeanPhiParams, x: CountsLike) -> LogLikResult:
+    """One row from walks of its own, each taken only when the merge reads it."""
+    starts, step, walk, den_start, method = _route(params)
+    x = _checked(len(starts), x)
+    lookups = [partial(_own_walk, walk, start, step) for start in starts]
+    lookups.append(partial(_own_walk, _sum_logs, den_start, step))
+    return _merge(x, method, lookups)
+
+
+# ---------------------------------------------------------------------------
 # Log-likelihood evaluators
 # ---------------------------------------------------------------------------
 
@@ -372,22 +446,7 @@ def dmn_loglik_exact(alpha: AlphaLike, x: CountsLike) -> LogLikResult:
     The per-category compensated partial sums are merged with ``math.fsum``,
     so jointly permuting (alpha_k, x_k) pairs cannot change the result.
     """
-    alpha = _as_alpha(alpha)
-    x = _as_counts(x)
-    _check_lengths(len(alpha.alpha), x)
-    _check_budget(x)
-    parts: list[float] = []
-    n_logs = 0
-    for a_k, x_k in zip(alpha.alpha, x.counts):
-        s, c = _sum_logs(a_k, 1.0, (x_k,))[0]
-        parts.append(s)
-        parts.append(c)
-        n_logs += x_k
-    s, c = _sum_logs(alpha.sum_a, 1.0, (x.total,))[0]
-    parts.append(-s)
-    parts.append(-c)
-    n_logs += x.total
-    return LogLikResult(math.fsum(parts), Method.EXACT, n_logs)
+    return _walk_row(_as_alpha(alpha), x)
 
 
 def dmn_loglik_lgamma(alpha: AlphaLike, x: CountsLike) -> LogLikResult:
@@ -461,24 +520,7 @@ def dmn_loglik_phi(mp: MeanPhiParams, x: CountsLike) -> LogLikResult:
     """
     if not isinstance(mp, MeanPhiParams):
         raise DomainError("dmn_loglik_phi expects MeanPhiParams")
-    x = _as_counts(x)
-    _check_lengths(len(mp.p), x)
-    _check_budget(x)
-    phi = mp.phi
-    parts: list[float] = []
-    n_logs = 0
-    for p_k, x_k in zip(mp.p, x.counts):
-        s, c = _sum_phi_logs(p_k, phi, (x_k,))[0]
-        if s == _NEG_INF:
-            return LogLikResult(_NEG_INF, Method.PHI_FORM, n_logs)
-        parts.append(s)
-        parts.append(c)
-        n_logs += x_k
-    s, c = _sum_logs(1.0 - phi, phi, (x.total,))[0]
-    parts.append(-s)
-    parts.append(-c)
-    n_logs += x.total
-    return LogLikResult(math.fsum(parts), Method.PHI_FORM, n_logs)
+    return _walk_row(mp, x)
 
 
 def dmn_loglik_rows(
@@ -501,47 +543,19 @@ def dmn_loglik_rows(
     per-row calls, and on a table with repeated counts far fewer.  Every row
     is validated, in order, before any pass starts.
     """
-    if isinstance(params, MeanPhiParams):
-        starts, step, sums = params.p, params.phi, _sum_phi_logs
-        den_start = 1.0 - params.phi
-        method = Method.PHI_FORM
-    else:
-        alpha = _as_alpha(params)
-        starts, step, sums = alpha.alpha, 1.0, _sum_logs
-        den_start = alpha.sum_a
-        method = Method.EXACT
-    checked: list[CountVector] = []
-    for x in rows:
-        x = _as_counts(x)
-        _check_lengths(len(starts), x)
-        _check_budget(x)
-        checked.append(x)
-    num = []
+    starts, step, walk, den_start, method = _route(params)
+    checked = [_checked(len(starts), x) for x in rows]
+    tables = []
     reach = checked  # the rows whose per-row call gets as far as category k
     for k, start in enumerate(starts):
         column = (x.counts[k] for x in reach)
-        num.append(_states_by_level(column, sums, start, step))
+        tables.append(_states_by_level(column, walk, start, step))
         if start == 0.0:
             # an observed zero-probability category ends the row at -inf
             reach = [x for x in reach if x.counts[k] == 0]
-    den = _states_by_level((x.total for x in reach), _sum_logs, den_start, step)
-
-    def merge(x: CountVector) -> LogLikResult:
-        parts: list[float] = []
-        n_logs = 0
-        for states, x_k in zip(num, x.counts):
-            s, c = states[x_k]
-            if s == _NEG_INF:
-                return LogLikResult(_NEG_INF, method, n_logs)
-            parts.append(s)
-            parts.append(c)
-            n_logs += x_k
-        s, c = den[x.total]
-        parts.append(-s)
-        parts.append(-c)
-        return LogLikResult(math.fsum(parts), method, n_logs + x.total)
-
-    return [merge(x) for x in checked]
+    tables.append(_states_by_level((x.total for x in reach), _sum_logs, den_start, step))
+    lookups = [table.__getitem__ for table in tables]
+    return [_merge(x, method, lookups) for x in checked]
 
 
 def mn_loglik_kernel(p: Sequence[float], x: CountsLike) -> float:
@@ -556,17 +570,11 @@ def mn_loglik_kernel(p: Sequence[float], x: CountsLike) -> float:
     for bit.
     """
     probs = _as_simplex(p)
-    x = _as_counts(x)
-    _check_lengths(len(probs), x)
-    _check_budget(x)
-    parts: list[float] = []
-    for p_k, x_k in zip(probs, x.counts):
-        s, c = _sum_phi_logs(p_k, 0.0, (x_k,))[0]
-        if s == _NEG_INF:
-            return _NEG_INF
-        parts.append(s)
-        parts.append(c)
-    return math.fsum(parts)
+    x = _checked(len(probs), x)
+    lookups = [partial(_own_walk, _sum_phi_logs, p_k, 0.0) for p_k in probs]
+    # at phi = 0 every denominator term is log(1) = 0, so its state is (0, 0)
+    lookups.append(lambda n: (0.0, 0.0))
+    return _merge(x, Method.PHI_FORM, lookups).value
 
 
 def log_multinomial_coef(x: CountsLike) -> float:

@@ -35,6 +35,7 @@ from .core import (
     DomainError,
     ResourceLimitError,
     _as_alpha,
+    _finite_fsum,
     _states_by_level,
     _sum_recips,
     dmn_loglik_exact,  # noqa: F401  perfbench/spans.py rebinds this name here
@@ -139,7 +140,9 @@ def grad_loglik(alpha: AlphaLike, d: Dataset) -> np.ndarray:
     accumulated with compensated summation and merged in observation order,
     so the result is deterministic.  Each reciprocal sum is read from one
     shared walk per category (and one for the totals), which gives every
-    observation the value a walk of its own count alone would.
+    observation the value a walk of its own count alone would.  A component
+    that overflows a float, as 1/alpha_k does for subnormal alpha_k, raises
+    :class:`DomainError`.
     """
     alpha = _as_alpha(alpha)
     _check_k(alpha, d)
@@ -154,7 +157,7 @@ def grad_loglik(alpha: AlphaLike, d: Dataset) -> np.ndarray:
         den_x = den[x.total]
         for part, sums, x_k in zip(parts, num, x.counts):
             part.append(sums[x_k] - den_x)
-    return np.array([math.fsum(p) for p in parts])
+    return np.array([_finite_fsum(p, f"gradient component {k}") for k, p in enumerate(parts)])
 
 
 class _TailCounts:
@@ -259,8 +262,9 @@ def fit_alpha_mle(
     returned unchanged (``converged=False``).
 
     Raises :class:`DomainError` for single-category data (the likelihood is
-    identically zero, so there is nothing to fit) and for datasets whose
-    observations are all empty.
+    identically zero, so there is nothing to fit), for datasets whose
+    observations are all empty, and for an ``init`` with an alpha_k below
+    :data:`ALPHA_FLOOR`.
     """
     if not isinstance(d, Dataset):
         d = Dataset(d)
@@ -275,16 +279,20 @@ def fit_alpha_mle(
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
 
-    stats = _TailCounts(d)
-    if init is None:
-        alpha = _default_init(stats, d.k)
-    else:
+    if init is not None:
         init = _as_alpha(init)
         if len(init.alpha) != d.k:
             raise DimensionMismatchError(
                 f"init has {len(init.alpha)} categories, dataset has {d.k}"
             )
-        alpha = np.array(init.alpha)
+        # every iterate is pinned at or above the floor, so the init must be too
+        if min(init.alpha) < ALPHA_FLOOR:
+            raise DomainError(
+                f"init alpha {min(init.alpha)!r} is below the floor {ALPHA_FLOOR!r}"
+            )
+
+    stats = _TailCounts(d)
+    alpha = _default_init(stats, d.k) if init is None else np.array(init.alpha)
 
     grid = stats.at(alpha)
     ll = stats.loglik(grid)

@@ -2,24 +2,18 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .core import AlphaLike, _as_alpha, _as_simplex
+from .core import AlphaLike, DomainError, _as_alpha, _as_simplex
 from .estimate import Dataset
 
-__all__ = ["resolve_seed", "sample_dmn_dataset", "sample_mn_dataset"]
-
-_SEED_ENV = "DMN_SEED"
+__all__ = ["sample_dmn_dataset", "sample_mn_dataset"]
 
 
-def resolve_seed(seed: int | None) -> int | None:
-    """Explicit seed wins; otherwise the DMN_SEED environment variable, if set."""
-    if seed is not None:
-        return seed
-    env = os.environ.get(_SEED_ENV)
-    return int(env) if env else None
+def _check_sizes(n_trials: int, n_obs: int) -> None:
+    for name, n in (("n_trials", n_trials), ("n_obs", n_obs)):
+        if n < 0:
+            raise DomainError(f"{name} must be >= 0, got {n}")
 
 
 def sample_dmn_dataset(
@@ -27,7 +21,8 @@ def sample_dmn_dataset(
 ) -> Dataset:
     """Draw n_obs observations: p ~ Dirichlet(alpha), then counts ~ MN(n_trials, p)."""
     alpha = _as_alpha(alpha)
-    rng = np.random.default_rng(resolve_seed(seed))
+    _check_sizes(n_trials, n_obs)
+    rng = np.random.default_rng(seed)
     probs = rng.dirichlet(alpha.alpha, size=n_obs)
     counts = rng.multinomial(n_trials, probs)
     return Dataset(row for row in counts.tolist())
@@ -38,6 +33,7 @@ def sample_mn_dataset(
 ) -> Dataset:
     """Draw n_obs plain multinomial observations (the phi = 0 regime)."""
     probs = _as_simplex(p)
-    rng = np.random.default_rng(resolve_seed(seed))
+    _check_sizes(n_trials, n_obs)
+    rng = np.random.default_rng(seed)
     counts = rng.multinomial(n_trials, np.tile(probs, (n_obs, 1)))
     return Dataset(row for row in counts.tolist())

@@ -7,16 +7,22 @@ import pytest
 
 from dmnll import (
     BenchRecord,
+    CountVector,
+    DimensionMismatchError,
     DomainError,
     ExperimentConfig,
     Method,
+    ResourceLimitError,
     accuracy_defaults,
+    bench,
+    dmn_loglik_exact,
     reference_loglik,
     run_accuracy_experiment,
     run_runtime_experiment,
     runtime_defaults,
 )
 from dmnll.bench import CSV_HEADER, canonical_json, records_to_csv, records_to_json
+from dmnll.core import MAX_TOTAL_COUNT
 
 
 class TestReference:
@@ -27,6 +33,17 @@ class TestReference:
 
     def test_empty_counts(self):
         assert reference_loglik((3.0, 0.5), (0, 0)) == 0.0
+
+    def test_checks_before_any_mpmath_work(self, monkeypatch):
+        huge = CountVector([MAX_TOTAL_COUNT + 1])
+        with pytest.raises(ResourceLimitError) as per_row:
+            dmn_loglik_exact((1.0,), huge)
+        monkeypatch.setattr(bench, "mpmath", None)
+        with pytest.raises(DimensionMismatchError):
+            reference_loglik((1.0, 2.0), (1, 2, 3))
+        with pytest.raises(ResourceLimitError) as reference:
+            reference_loglik((1.0,), huge)
+        assert str(reference.value) == str(per_row.value)
 
     def test_agrees_with_lgamma_identity(self):
         # independent high-precision identity: the reference must equal the

@@ -318,6 +318,15 @@ class TestFit:
         monkeypatch.setattr(estimate, "_TailCounts", OldTailCounts)
         assert run_cli(capsys, *argv) == (0, out, "")
 
+    @pytest.mark.filterwarnings("error")
+    def test_init_below_the_floor_is_one_error_line(self, capsys, counts_file):
+        path = counts_file("1,2\n2,1\n3,0\n")
+        code, out, err = run_cli(capsys, "fit", path, "--alpha", "1e-320,1e-320")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "below the floor" in err
+
     def test_grid_over_the_level_bound_is_one_error_line(self, capsys, counts_file):
         path = counts_file(f"{1 << 40},{1 << 40}\n")
         code, out, err = run_cli(capsys, "fit", path)

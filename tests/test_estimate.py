@@ -72,6 +72,20 @@ class TestGradient:
         g = grad_loglik((2.5,), Dataset([(7,), (3,)]))
         assert np.all(g == 0.0)
 
+    def test_overflow_is_a_domain_error(self):
+        # 1/alpha_1 overflows to inf (and inf - inf to NaN in the walk), or
+        # the per-row terms are finite but their sum is not.
+        for alpha, rows in (
+            ([1e-320, 1.0], [[3, 1]]),
+            ([1e-320, 1e-320], [[1, 1]]),
+            ([1e-307, 1.0], [[1, 0]] * 100),
+        ):
+            with pytest.raises(DomainError, match="overflows a float"):
+                grad_loglik(alpha, Dataset(rows))
+        # a subnormal alpha_k whose category is never observed stays finite
+        g = grad_loglik([1e-309, 5.0], Dataset([[0, 2]]))
+        assert g.tolist() == [-(1 / 5 + 1 / 6), 0.0]
+
     def test_matches_finite_differences(self, rng):
         for _ in range(25):
             k = int(rng.integers(2, 6))
@@ -202,6 +216,17 @@ class TestFit:
     def test_init_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):
             fit_alpha_mle(Dataset([(1, 2)]), init=AlphaParams((1.0, 1.0, 1.0)))
+
+    def test_init_below_the_floor_fails_before_any_array_work(self, monkeypatch):
+        def no_arrays(d):
+            raise AssertionError("built the fit's arrays")
+
+        monkeypatch.setattr(estimate, "_TailCounts", no_arrays)
+        d = Dataset([(1, 2), (2, 1), (3, 0)])
+        with pytest.raises(DomainError, match=f"1e-320 is below the floor {ALPHA_FLOOR!r}"):
+            fit_alpha_mle(d, init=(1e-320, 1e-320))
+        with pytest.raises(DomainError, match="alpha 5e-09 is below"):
+            fit_alpha_mle(d, init=(1.0, ALPHA_FLOOR / 2))
 
     def test_record_trace_off(self):
         result = fit_alpha_mle(Dataset([(1, 2), (2, 1)]), max_iter=5, record_trace=False)

@@ -1,7 +1,8 @@
 """Tests for the synthetic-data helpers."""
 
-from dmnll import sample_dmn_dataset, sample_mn_dataset
-from dmnll.sampling import resolve_seed
+import pytest
+
+from dmnll import DomainError, sample_dmn_dataset, sample_mn_dataset
 
 
 def test_dmn_shapes_and_totals():
@@ -23,12 +24,9 @@ def test_seed_reproducibility():
     assert d1.observations == d2.observations
 
 
-def test_env_seed_used_when_unset(monkeypatch):
-    monkeypatch.setenv("DMN_SEED", "4242")
-    assert resolve_seed(None) == 4242
-    assert resolve_seed(7) == 7
-    d1 = sample_dmn_dataset((1.0, 2.0), 20, 10)
-    d2 = sample_dmn_dataset((1.0, 2.0), 20, 10)
-    assert d1.observations == d2.observations
-    monkeypatch.delenv("DMN_SEED")
-    assert resolve_seed(None) is None
+@pytest.mark.parametrize("sample", [sample_dmn_dataset, sample_mn_dataset])
+def test_negative_sizes_are_domain_errors(sample):
+    with pytest.raises(DomainError, match="n_trials must be >= 0, got -1"):
+        sample((0.25, 0.75), -1, 3, seed=1)
+    with pytest.raises(DomainError, match="n_obs must be >= 0, got -2"):
+        sample((0.25, 0.75), 3, -2, seed=1)
