@@ -63,7 +63,7 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        cells = [c.strip() for c in next(csv.reader([raw]))]
+        cells = [c.strip() for c in _split_cells(raw, source, lineno)]
         if first_content:
             first_content = False
             if not _all_ints(cells):
@@ -77,12 +77,32 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
                 f"{source} line {lineno}: expected {width} columns, found {len(cells)}"
             )
         try:
-            rows.append(CountVector(int(c) for c in cells))
+            counts = [int(c) for c in cells]
+        except ValueError:
+            # convert cell by cell inside CountVector, so the first bad cell
+            # in order is reported, be it a bad literal or a bad count
+            counts = (int(c) for c in cells)
+        try:
+            rows.append(CountVector(counts))
         except (ValueError, DmnError) as exc:
             raise TableParseError(f"{source} line {lineno}: {exc}") from exc
     if not rows:
         raise TableParseError(f"{source}: no count observations found")
     return CountTable(rows=tuple(rows), column_names=header)
+
+
+def _split_cells(raw: str, source: str, lineno: int) -> list[str]:
+    """The CSV cells of one line, unstripped.
+
+    A line without a quote character splits on commas exactly as
+    ``csv.reader`` would split it; only quoted lines need the reader.
+    """
+    if '"' not in raw:
+        return raw.split(",")
+    try:
+        return next(csv.reader([raw]))
+    except csv.Error as exc:
+        raise TableParseError(f"{source} line {lineno}: {exc}") from exc
 
 
 def _all_ints(cells) -> bool:

@@ -115,11 +115,13 @@ class CountVector:
     def __init__(self, counts: Iterable[int], total: int | None = None):
         vals = []
         for c in counts:
-            if isinstance(c, CountVector):
-                raise DomainError("counts must be integers, not CountVector")
-            if not isinstance(c, numbers.Integral):
-                raise DomainError(f"counts must be integers, got {c!r}")
-            c = int(c)
+            # a plain int is its own int(c); only other types pay the ABC check
+            if type(c) is not int:
+                if isinstance(c, CountVector):
+                    raise DomainError("counts must be integers, not CountVector")
+                if not isinstance(c, numbers.Integral):
+                    raise DomainError(f"counts must be integers, got {c!r}")
+                c = int(c)
             if c < 0:
                 raise DomainError(f"counts must be non-negative, got {c}")
             if c > _MAX_COUNT:
@@ -149,7 +151,7 @@ class AlphaParams:
     sum_a: float
 
     def __init__(self, alpha: Iterable[float]):
-        vals = tuple(float(a) for a in alpha)
+        vals = _floats(alpha, "concentration parameters")
         if not vals:
             raise DomainError("alpha needs at least one category")
         for a in vals:
@@ -164,6 +166,25 @@ class AlphaParams:
 
     def __len__(self) -> int:
         return len(self.alpha)
+
+
+def _floats(values: Iterable, what: str) -> tuple[float, ...]:
+    """``values`` as floats; a value ``float`` rejects is a :class:`DomainError`."""
+    vals = []
+    for v in values:
+        try:
+            vals.append(float(v))
+        except (TypeError, ValueError):
+            raise DomainError(f"{what} must be real numbers, got {v!r}") from None
+    return tuple(vals)
+
+
+def _check_size(name: str, n) -> None:
+    """A size argument ``n`` must be an integer (numpy's included) and >= 0."""
+    if not isinstance(n, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if n < 0:
+        raise DomainError(f"{name} must be >= 0, got {n}")
 
 
 def _finite_fsum(values: Sequence[float], what: str) -> float:
@@ -183,7 +204,7 @@ def _finite_fsum(values: Sequence[float], what: str) -> float:
 
 def _as_simplex(p: Sequence[float], *, renormalize: bool = False) -> tuple[float, ...]:
     """Validate (optionally rescale) a probability vector; never rescales silently."""
-    probs = tuple(float(v) for v in p)
+    probs = _floats(p, "probabilities")
     if not probs:
         raise DomainError("a probability vector needs at least one category")
     for v in probs:
@@ -218,7 +239,12 @@ class MeanPhiParams:
 
     def __init__(self, p: Iterable[float], phi: float, *, renormalize: bool = False):
         probs = _as_simplex(tuple(p), renormalize=renormalize)
-        phi = float(phi)
+        try:
+            phi = float(phi)
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"over-dispersion phi must be a real number, got {phi!r}"
+            ) from None
         if not math.isfinite(phi) or not 0.0 <= phi < 1.0:
             raise DomainError(f"over-dispersion phi must lie in [0, 1), got {phi!r}")
         object.__setattr__(self, "p", probs)
@@ -256,7 +282,14 @@ CountsLike = Union[CountVector, Sequence[int]]
 
 
 def _as_alpha(alpha: AlphaLike) -> AlphaParams:
-    return alpha if isinstance(alpha, AlphaParams) else AlphaParams(alpha)
+    if isinstance(alpha, AlphaParams):
+        return alpha
+    if isinstance(alpha, MeanPhiParams):
+        raise DomainError(
+            "expected concentration parameters, got MeanPhiParams; evaluate "
+            "(p, phi) with dmn_loglik_phi or convert with params_from_mean_phi"
+        )
+    return AlphaParams(alpha)
 
 
 def _as_counts(x: CountsLike) -> CountVector:

@@ -35,6 +35,7 @@ from .core import (
     DomainError,
     ResourceLimitError,
     _as_alpha,
+    _check_size,
     _finite_fsum,
     _states_by_level,
     _sum_recips,
@@ -274,8 +275,7 @@ def fit_alpha_mle(
         )
     if all(o.total == 0 for o in d.observations):
         raise DomainError("every observation is all-zero; there is nothing to fit")
-    if max_iter < 0:
-        raise DomainError(f"max_iter must be >= 0, got {max_iter}")
+    _check_size("max_iter", max_iter)
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
 

@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AlphaLike, DomainError, _as_alpha, _as_simplex
+from .core import AlphaLike, _as_alpha, _as_simplex, _check_size
 from .estimate import Dataset
 
 __all__ = ["sample_dmn_dataset", "sample_mn_dataset"]
 
 
 def _check_sizes(n_trials: int, n_obs: int) -> None:
-    for name, n in (("n_trials", n_trials), ("n_obs", n_obs)):
-        if n < 0:
-            raise DomainError(f"{name} must be >= 0, got {n}")
+    _check_size("n_trials", n_trials)
+    _check_size("n_obs", n_obs)
 
 
 def sample_dmn_dataset(

@@ -1,10 +1,13 @@
+import csv
 import itertools
 import math
+import numbers
 
 import numpy as np
 import pytest
 
-from dmnll import AlphaParams, CountVector
+from dmnll import AlphaParams, CountVector, DmnError, DomainError
+from dmnll.cli import CountTable, TableParseError
 from dmnll.estimate import ALPHA_FLOOR
 
 
@@ -83,3 +86,73 @@ def _old_tail(values):
         return np.zeros(0)
     hist = np.bincount(values, minlength=top + 1)
     return (values.size - np.cumsum(hist))[:top].astype(float)
+
+
+class OldCountVector(CountVector):
+    """``CountVector`` validated as before the plain-int shortcut: every cell
+    takes the ``numbers.Integral`` check.  The reference the fast loop of
+    ``dmnll.core.CountVector`` must match in result and in error."""
+
+    def __init__(self, counts, total=None):
+        vals = []
+        for c in counts:
+            if isinstance(c, CountVector):
+                raise DomainError("counts must be integers, not CountVector")
+            if not isinstance(c, numbers.Integral):
+                raise DomainError(f"counts must be integers, got {c!r}")
+            c = int(c)
+            if c < 0:
+                raise DomainError(f"counts must be non-negative, got {c}")
+            if c > (1 << 63) - 1:
+                raise DomainError(f"count {c} does not fit in 64 bits")
+            vals.append(c)
+        if not vals:
+            raise DomainError("a count vector needs at least one category")
+        s = sum(vals)
+        if total is not None and int(total) != s:
+            raise DomainError(f"stated total {total} != sum of counts {s}")
+        object.__setattr__(self, "counts", tuple(vals))
+        object.__setattr__(self, "total", s)
+
+
+def old_parse_count_table(text, source="<input>"):
+    """``dmnll.cli.parse_count_table`` as it was with every line read by
+    ``csv.reader`` and each row's cells converted inside ``OldCountVector``:
+    the reference the split-based parse must match."""
+    header = None
+    rows = []
+    width = None
+    first_content = True
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        cells = [c.strip() for c in next(csv.reader([raw]))]
+        if first_content:
+            first_content = False
+            if not _old_all_ints(cells):
+                header = tuple(cells)
+                width = len(cells)
+                continue
+        if width is None:
+            width = len(cells)
+        if len(cells) != width:
+            raise TableParseError(
+                f"{source} line {lineno}: expected {width} columns, found {len(cells)}"
+            )
+        try:
+            rows.append(OldCountVector(int(c) for c in cells))
+        except (ValueError, DmnError) as exc:
+            raise TableParseError(f"{source} line {lineno}: {exc}") from exc
+    if not rows:
+        raise TableParseError(f"{source}: no count observations found")
+    return CountTable(rows=tuple(rows), column_names=header)
+
+
+def _old_all_ints(cells):
+    try:
+        for c in cells:
+            int(c)
+    except ValueError:
+        return False
+    return True

@@ -91,6 +91,18 @@ class TestAlphaParams:
         with pytest.raises(DomainError, match="overflows"):
             AlphaParams([1e308, 1e308])
 
+    @pytest.mark.parametrize("bad", ["a", None, 1j, [1.0]], ids=repr)
+    def test_non_numeric_entry_is_a_domain_error_naming_it(self, bad):
+        with pytest.raises(DomainError) as info:
+            AlphaParams([1.0, bad])
+        assert str(info.value) == (
+            f"concentration parameters must be real numbers, got {bad!r}"
+        )
+
+    def test_numeric_entries_are_read_as_floats(self):
+        a = AlphaParams([1, np.float32(0.5), np.int64(2), "3.5"])
+        assert a.alpha == (1.0, 0.5, 2.0, 3.5)
+
 
 class TestMeanPhiParams:
     def test_valid(self):
@@ -120,6 +132,16 @@ class TestMeanPhiParams:
         for renormalize in (False, True):
             with pytest.raises(DomainError, match="overflows"):
                 MeanPhiParams([1e308, 1e308], 0.1, renormalize=renormalize)
+
+    @pytest.mark.parametrize("bad", ["a", None, 1j], ids=repr)
+    def test_non_numeric_entry_is_a_domain_error_naming_it(self, bad):
+        with pytest.raises(DomainError, match="probabilities must be real numbers"):
+            MeanPhiParams([bad], 0.1)
+        with pytest.raises(DomainError) as info:
+            MeanPhiParams([1.0], bad)
+        assert str(info.value) == (
+            f"over-dispersion phi must be a real number, got {bad!r}"
+        )
 
     def test_rejects_negative_probability(self):
         with pytest.raises(DomainError):
@@ -171,6 +193,15 @@ class TestExact:
             dmn_loglik_exact((1.0,), huge)
         # the O(K) baseline has no such budget
         assert dmn_loglik_lgamma((1.0,), huge).value == 0.0
+
+
+@pytest.mark.parametrize(
+    "evaluate", [dmn_loglik_exact, dmn_loglik_lgamma, dmn_log_pmf],
+    ids=lambda f: f.__name__,
+)
+def test_mean_phi_params_point_to_the_phi_form(evaluate):
+    with pytest.raises(DomainError, match="dmn_loglik_phi"):
+        evaluate(MeanPhiParams((0.5, 0.5), 0.1), (1, 1))
 
 
 class TestRows:

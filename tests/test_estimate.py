@@ -165,6 +165,19 @@ class TestFit:
         assert result.iterations == 0
         assert result.trace is not None and len(result.trace) == 1
 
+    @pytest.mark.parametrize("bad", [2.5, "3", None], ids=repr)
+    def test_non_integral_max_iter_is_a_domain_error(self, bad):
+        with pytest.raises(DomainError) as info:
+            fit_alpha_mle(Dataset([(1, 2), (3, 1)]), max_iter=bad)
+        assert str(info.value) == f"max_iter must be an integer, got {bad!r}"
+
+    def test_numpy_integer_max_iter_is_accepted(self):
+        d = Dataset([(1, 2), (3, 1), (2, 2)])
+        result = fit_alpha_mle(d, max_iter=np.int64(5))
+        assert result.alpha_hat == fit_alpha_mle(d, max_iter=5).alpha_hat
+        with pytest.raises(DomainError, match="max_iter must be >= 0, got -1"):
+            fit_alpha_mle(d, max_iter=np.int64(-1))
+
     def test_loglik_field_matches_dataset_sum(self):
         d = Dataset([(3, 1, 0), (2, 2, 2), (0, 5, 1)])
         result = fit_alpha_mle(d, max_iter=40)

@@ -1,0 +1,203 @@
+"""Table ingest against its references: ``CountVector`` with the plain-int
+shortcut and the split-based CSV parse give the results, or raise the
+errors, of the versions kept in ``conftest`` (every cell through the
+``numbers.Integral`` check, every line through ``csv.reader``)."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dmnll import CountVector
+from dmnll.cli import main, parse_count_table
+from conftest import OldCountVector, old_parse_count_table
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` returns, as plain values, or its error's type and message."""
+    try:
+        out = build(*args)
+    except Exception as exc:  # the type is part of what is compared
+        return type(exc), str(exc)
+    if isinstance(out, CountVector):
+        return out.counts, out.total
+    return out.column_names, [(r.counts, r.total) for r in out.rows]
+
+
+# ---------------------------------------------------------------------------
+# CountVector
+# ---------------------------------------------------------------------------
+
+
+class SubInt(int):
+    """An int subclass: not a plain int, so it takes the checked path."""
+
+
+CELLS = st.one_of(
+    st.integers(min_value=-3, max_value=1 << 64),
+    st.sampled_from([(1 << 63) - 1, 1 << 63, -(1 << 63)]),
+    st.booleans(),
+    st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1).map(np.int64),
+    st.integers(min_value=0, max_value=(1 << 64) - 1).map(np.uint64),
+    st.integers(min_value=-3, max_value=1 << 64).map(SubInt),
+    st.floats(),
+    st.fractions(max_denominator=5),
+    st.lists(st.integers(0, 5), min_size=1, max_size=3).map(CountVector),
+    st.sampled_from(["1", None]),
+)
+
+PINNED_COUNTS = [
+    [3, 0, 7],
+    [],
+    [True, False, 2],
+    [np.int64(2), np.int64(5)],
+    [np.uint64(1 << 63)],
+    [np.uint64((1 << 63) - 1)],
+    [1.0],
+    [1.5, 2],
+    [Fraction(4, 2)],
+    [Fraction(1, 2)],
+    [-1, 2],
+    [2, -1, 1.5],
+    [1 << 63],
+    [(1 << 63) - 1, (1 << 63) - 1],
+    [CountVector([1]), 2],
+    [1, CountVector([1])],
+    [SubInt(4), SubInt(-4)],
+]
+
+
+@pytest.mark.parametrize("counts", PINNED_COUNTS, ids=repr)
+def test_count_vector_pinned_matches_reference(counts):
+    assert outcome(CountVector, counts) == outcome(OldCountVector, counts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(CELLS, max_size=6), st.one_of(st.none(), st.integers(0, 20)))
+def test_count_vector_matches_reference(counts, total):
+    assert outcome(CountVector, counts, total) == outcome(OldCountVector, counts, total)
+
+
+def test_count_vector_pins_the_first_bad_cell():
+    # cells are checked in order: the negative before the float after it
+    assert outcome(CountVector, [2, -1, 1.5])[1] == "counts must be non-negative, got -1"
+    assert outcome(CountVector, [np.uint64(1 << 63)])[1] == (
+        f"count {1 << 63} does not fit in 64 bits"
+    )
+
+
+def test_plain_ints_are_kept_as_given():
+    x = CountVector([0, 5, (1 << 63) - 1])
+    assert x.counts == (0, 5, (1 << 63) - 1)
+    assert all(type(c) is int for c in x.counts)
+    assert [type(c) for c in CountVector([True, np.int64(3)]).counts] == [int, int]
+
+
+# ---------------------------------------------------------------------------
+# parse_count_table
+# ---------------------------------------------------------------------------
+
+
+INT_TEXT = st.one_of(
+    st.integers(min_value=-3, max_value=1 << 64).map(str),
+    st.sampled_from(["+3", "1_0", "007", "-0", "١٢", "５", "9" * 25]),
+)
+BAD_TEXT = st.sampled_from(["x", "", "1.5", "1 2", "1__0", "a,b", "²", "nan"])
+PAD = st.sampled_from(["", " ", "\t", "  ", " ", " "])
+
+
+@st.composite
+def cell_text(draw):
+    body = draw(st.one_of(INT_TEXT, INT_TEXT, BAD_TEXT))
+    pad = draw(PAD)
+    text = draw(PAD) + body + pad
+    if draw(st.integers(0, 4)) == 0:
+        # a CSV-quoted cell; a comma inside stays one cell
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def table_text(draw):
+    width = draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        names = st.sampled_from(["a", "b", '"c"', " d "])
+        lines.append(",".join(draw(st.lists(names, min_size=width, max_size=width))))
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "# note", " # x,y", "\t"])))
+        else:
+            # now and then a ragged row
+            n = width if kind > 1 else draw(st.integers(1, 5))
+            lines.append(",".join(draw(st.lists(cell_text(), min_size=n, max_size=n))))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+PINNED_TABLES = [
+    "a,b\n1,2\n3,4\n",
+    "# comment\na,b\n1,2\n\n3,4\n",
+    "1,2\n3,4\n",
+    '"1","2"\n3,4\n',
+    '1,"2"\n3,4\n',
+    '1,"2,3"\n',
+    'a,"b,c"\n1,"2"\n',
+    '1,"2,3"\n4,5\n',
+    " 1 , 2 \n\t3\t,\t4\t\n",
+    "+3,1_0\n",
+    "١٢,５\n",
+    " 1 , 2 \n",
+    "a,b\n1,2\n1,2,3\n",
+    "a,b\n1,2\n1\n",
+    "a,b\n1,2\n1,x\n",
+    "a,b\n-1,2\n",
+    "1,-2\n3,4\n",
+    "a,b\n-1,x\n",
+    "a,b\n1,x,-1\n",
+    f"a,b\n{1 << 63},x\n",
+    f"{1 << 63},1\n",
+    "x\n",
+    "",
+    "# only comments\n",
+    "a,b\n1,\n",
+    'a,b\n"",1\n',
+    'a,b\n1"2,3\n',
+    "a,b\r\n1,2\r\n",
+]
+
+
+@pytest.mark.parametrize("text", PINNED_TABLES, ids=repr)
+def test_parse_pinned_matches_reference(text):
+    assert outcome(parse_count_table, text, "t.csv") == outcome(
+        old_parse_count_table, text, "t.csv"
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_text())
+def test_parse_matches_reference(text):
+    assert outcome(parse_count_table, text, "t.csv") == outcome(
+        old_parse_count_table, text, "t.csv"
+    )
+
+
+def test_parse_reports_the_first_bad_cell_of_a_row():
+    # the negative count comes before the non-integer cell, so it is the error
+    _, message = outcome(parse_count_table, "a,b\n-1,x\n", "t.csv")
+    assert message == "t.csv line 2: counts must be non-negative, got -1"
+    _, message = outcome(parse_count_table, "a,b\nx,-1\n", "t.csv")
+    assert message == "t.csv line 2: invalid literal for int() with base 10: 'x'"
+
+
+def test_oversized_quoted_field_is_a_parse_error(tmp_path, capsys):
+    # csv.reader caps a field at 128 KiB; that is an input error, not a crash
+    path = tmp_path / "big.csv"
+    path.write_text('"' + "1" * 200_000 + '"\n')
+    assert main(["loglik", str(path), "--alpha", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} line 1: field larger than field limit")
+    assert err.count("\n") == 1

@@ -1,8 +1,9 @@
 """Tests for the synthetic-data helpers."""
 
+import numpy as np
 import pytest
 
-from dmnll import DomainError, sample_dmn_dataset, sample_mn_dataset
+from dmnll import DomainError, MeanPhiParams, sample_dmn_dataset, sample_mn_dataset
 
 
 def test_dmn_shapes_and_totals():
@@ -30,3 +31,23 @@ def test_negative_sizes_are_domain_errors(sample):
         sample((0.25, 0.75), -1, 3, seed=1)
     with pytest.raises(DomainError, match="n_obs must be >= 0, got -2"):
         sample((0.25, 0.75), 3, -2, seed=1)
+
+
+@pytest.mark.parametrize("sample", [sample_dmn_dataset, sample_mn_dataset])
+def test_non_integral_sizes_are_domain_errors(sample):
+    with pytest.raises(DomainError, match=r"n_trials must be an integer, got 2\.5"):
+        sample((0.25, 0.75), 2.5, 3, seed=1)
+    with pytest.raises(DomainError, match="n_obs must be an integer, got '3'"):
+        sample((0.25, 0.75), 3, "3", seed=1)
+
+
+@pytest.mark.parametrize("sample", [sample_dmn_dataset, sample_mn_dataset])
+def test_numpy_integer_sizes_are_accepted(sample):
+    d = sample((0.25, 0.75), np.int64(4), np.int32(3), seed=1)
+    assert len(d) == 3
+    assert all(o.total == 4 for o in d.observations)
+
+
+def test_mean_phi_params_point_to_the_phi_form():
+    with pytest.raises(DomainError, match="dmn_loglik_phi"):
+        sample_dmn_dataset(MeanPhiParams((0.5, 0.5), 0.1), 3, 2, seed=1)
