@@ -77,13 +77,9 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
                 f"{source} line {lineno}: expected {width} columns, found {len(cells)}"
             )
         try:
-            counts = [int(c) for c in cells]
-        except ValueError:
-            # convert cell by cell inside CountVector, so the first bad cell
-            # in order is reported, be it a bad literal or a bad count
-            counts = (int(c) for c in cells)
-        try:
-            rows.append(CountVector(counts))
+            # map converts lazily in cell order, so the first bad cell is
+            # reported, be it a bad literal or a bad count
+            rows.append(CountVector(map(int, cells)))
         except (ValueError, DmnError) as exc:
             raise TableParseError(f"{source} line {lineno}: {exc}") from exc
     if not rows:

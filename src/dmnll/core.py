@@ -174,8 +174,8 @@ def _floats(values: Iterable, what: str) -> tuple[float, ...]:
     for v in values:
         try:
             vals.append(float(v))
-        except (TypeError, ValueError):
-            raise DomainError(f"{what} must be real numbers, got {v!r}") from None
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"{what}: {v!r} is not a real number") from None
     return tuple(vals)
 
 
@@ -239,12 +239,7 @@ class MeanPhiParams:
 
     def __init__(self, p: Iterable[float], phi: float, *, renormalize: bool = False):
         probs = _as_simplex(tuple(p), renormalize=renormalize)
-        try:
-            phi = float(phi)
-        except (TypeError, ValueError):
-            raise DomainError(
-                f"over-dispersion phi must be a real number, got {phi!r}"
-            ) from None
+        (phi,) = _floats((phi,), "over-dispersion phi")
         if not math.isfinite(phi) or not 0.0 <= phi < 1.0:
             raise DomainError(f"over-dispersion phi must lie in [0, 1), got {phi!r}")
         object.__setattr__(self, "p", probs)
