@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .core import (
     AlphaParams,
     CountVector,
     DmnError,
+    DomainError,
     MeanPhiParams,
     dmn_loglik_exact,  # noqa: F401  perfbench/spans.py rebinds this name here
     dmn_loglik_lgamma,
@@ -53,7 +55,8 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
     """Parse a counts CSV.
 
     The first non-comment row is taken as a header unless every cell in it
-    parses as an integer, in which case the table is treated as headerless.
+    is an integer literal (even one too long for ``int``), in which case
+    the table is treated as headerless.
     """
     header: tuple[str, ...] | None = None
     rows: list[CountVector] = []
@@ -77,11 +80,17 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
                 f"{source} line {lineno}: expected {width} columns, found {len(cells)}"
             )
         try:
-            # map converts lazily in cell order, so the first bad cell is
-            # reported, be it a bad literal or a bad count
-            rows.append(CountVector(map(int, cells)))
+            try:
+                # map converts lazily in cell order, so the first bad cell is
+                # reported, be it a bad literal or a bad count
+                row = CountVector(map(int, cells))
+            except ValueError:
+                # int() refuses a literal past its digit limit as it refuses
+                # text; only a conversion cell by cell tells the two apart
+                row = CountVector(map(_to_int, cells))
         except (ValueError, DmnError) as exc:
             raise TableParseError(f"{source} line {lineno}: {exc}") from exc
+        rows.append(row)
     if not rows:
         raise TableParseError(f"{source}: no count observations found")
     return CountTable(rows=tuple(rows), column_names=header)
@@ -102,12 +111,42 @@ def _split_cells(raw: str, source: str, lineno: int) -> list[str]:
 
 
 def _all_ints(cells) -> bool:
-    try:
-        for c in cells:
+    for c in cells:
+        try:
             int(c)
-    except ValueError:
-        return False
+        except ValueError:
+            # a literal past int()'s digit limit is a number all the same
+            if not re.fullmatch(_INT_LITERAL, c):
+                return False
     return True
+
+
+#: An integer literal as ``int`` reads a stripped cell: a sign, then
+#: (Unicode) decimal digits with single underscores between them.  Only
+#: cells ``int`` refuses are matched, so it is compiled on first use.
+_INT_LITERAL = r"([+-]?)(\d+(?:_\d+)*)"
+
+
+def _to_int(cell: str) -> int:
+    """``int(cell)``, extended to integer literals past ``int``'s digit limit.
+
+    Python refuses to convert a literal of more than 4300 digits (its
+    default limit).  Unless leading zeros make it that long, such a literal
+    is far past 64 bits either way, and it fails as a count out of range.
+    """
+    try:
+        return int(cell)
+    except ValueError:
+        literal = re.fullmatch(_INT_LITERAL, cell)
+        if literal is None:
+            raise
+    sign, digits = literal.groups()
+    digits = digits.replace("_", "").lstrip("0") or "0"
+    if len(digits) <= 19:  # as many as 2^63 - 1 has
+        return int(sign + digits)
+    if sign == "-":
+        raise DomainError(f"counts must be non-negative, got a {len(digits)}-digit negative count")
+    raise DomainError(f"count of {len(digits)} digits does not fit in 64 bits")
 
 
 def _read_table(path: str) -> CountTable:

@@ -113,8 +113,12 @@ class CountVector:
     total: int
 
     def __init__(self, counts: Iterable[int], total: int | None = None):
+        try:
+            cells = iter(counts)
+        except TypeError:
+            raise DomainError(f"counts must be a sequence of integers, got {counts!r}") from None
         vals = []
-        for c in counts:
+        for c in cells:
             # a plain int is its own int(c); only other types pay the ABC check
             if type(c) is not int:
                 if isinstance(c, CountVector):
@@ -169,9 +173,14 @@ class AlphaParams:
 
 
 def _floats(values: Iterable, what: str) -> tuple[float, ...]:
-    """``values`` as floats; a value ``float`` rejects is a :class:`DomainError`."""
+    """``values`` as floats; a value ``float`` rejects, or a ``values`` that
+    is not iterable, is a :class:`DomainError`."""
+    try:
+        cells = iter(values)
+    except TypeError:
+        raise DomainError(f"{what}: expected a sequence, got {values!r}") from None
     vals = []
-    for v in values:
+    for v in cells:
         try:
             vals.append(float(v))
         except (TypeError, ValueError, OverflowError):
@@ -202,7 +211,7 @@ def _finite_fsum(values: Sequence[float], what: str) -> float:
     return total
 
 
-def _as_simplex(p: Sequence[float], *, renormalize: bool = False) -> tuple[float, ...]:
+def _as_simplex(p: Iterable[float], *, renormalize: bool = False) -> tuple[float, ...]:
     """Validate (optionally rescale) a probability vector; never rescales silently."""
     probs = _floats(p, "probabilities")
     if not probs:
@@ -238,7 +247,7 @@ class MeanPhiParams:
     phi: float
 
     def __init__(self, p: Iterable[float], phi: float, *, renormalize: bool = False):
-        probs = _as_simplex(tuple(p), renormalize=renormalize)
+        probs = _as_simplex(p, renormalize=renormalize)
         (phi,) = _floats((phi,), "over-dispersion phi")
         if not math.isfinite(phi) or not 0.0 <= phi < 1.0:
             raise DomainError(f"over-dispersion phi must lie in [0, 1), got {phi!r}")

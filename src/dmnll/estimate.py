@@ -3,24 +3,36 @@
 The gradient of the exact log-likelihood needs no digamma function: since
 lgamma(a + x) - lgamma(a) = sum_{j=0}^{x-1} log(a + j) for integer x, its
 derivative is the harmonic-style sum psi(a + x) - psi(a) =
-sum_{j=0}^{x-1} 1/(a + j).  The fitter below is the classic multiplicative
-fixed point for Polya/Dirichlet-multinomial data (Minka, "Estimating a
-Dirichlet distribution", 2000) written entirely in those reciprocal sums:
+sum_{j=0}^{x-1} 1/(a + j).  The fitter below works entirely in those
+reciprocal sums and their squares (Minka, "Estimating a Dirichlet
+distribution", 2000, Polya section).  Each iteration computes two points:
 
-    alpha_k <- alpha_k * [sum_obs sum_{j < x_k} 1/(alpha_k + j)]
-                       / [sum_obs sum_{i < N}   1/(A + i)]
+* the classic multiplicative fixed point, which maximizes a lower bound on
+  the likelihood, so it never lowers it beyond rounding error:
 
-Each step maximizes a lower bound on the likelihood, so the log-likelihood
-trace never decreases beyond rounding error.  The iteration aggregates
-observations into tail-count histograms laid end to end on one flat grid of
-count levels, sum_k max x_k + max N of them (at most 2^23), so one iterate
-costs a few array passes over that grid, not O(total count): one log per
-level for its log-likelihood and one division per level for its step.
+      alpha_k <- alpha_k * [sum_obs sum_{j < x_k} 1/(alpha_k + j)]
+                         / [sum_obs sum_{i < N}   1/(A + i)]
+
+* a Newton step.  The Hessian is diagonal plus a constant,
+  diag(q) + z 11^T with q_k = -sum_obs sum_{j < x_k} 1/(alpha_k + j)^2
+  and z = sum_obs sum_{i < N} 1/(A + i)^2, so Sherman-Morrison solves it
+  in O(K).
+
+The Newton point is taken when it is finite, on or above the floor and no
+worse than the fixed point; otherwise the fixed point is.  So the
+log-likelihood trace never decreases, and near a finite maximum the
+iteration converges quadratically instead of crawling.  The iteration
+aggregates observations into tail-count histograms laid end to end on one
+flat grid of count levels, sum_k max x_k + max N of them (at most 2^23),
+so one iteration costs a few array passes over that grid, not O(total
+count): a log per level for each of the two points' log-likelihoods, and
+two divisions per level for the sums both steps are made of.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -61,17 +73,28 @@ ALPHA_FLOOR = 1e-8
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 1000
 
-#: Largest grid, in count levels, the fixed point builds.  A fit peaks at
-#: about 72 bytes per level (float arrays of the grid's size and the list
-#: of floats ``fsum`` reads; measured with tracemalloc), so this bound keeps
-#: it under about 0.6 GiB.
+#: Largest grid, in count levels, a fit builds.  A fit peaks at about 80
+#: bytes per level (float arrays of the grid's size, among them the grids of
+#: both candidate points, and the list of floats ``fsum`` reads; measured
+#: with tracemalloc), so this bound keeps it under about 0.65 GiB.
 _MAX_FIT_LEVELS = 1 << 23
 
 _EPS = float(np.finfo(float).eps)
 
+#: The Hessian is negative definite where the Sherman-Morrison denominator
+#: 1 + z sum 1/q_k is positive.  It is 1 plus a sum of order 1 or smaller,
+#: so its rounding error is a few eps; a denominator below this is taken
+#: as zero.  At a finite maximum it measures about 1e-6 to 0.1; toward the
+#: multinomial limit it falls like 1/A.
+_CURVED = 1e3 * _EPS
+
 
 class MonotonicityError(DmnError):
-    """The fixed-point iteration decreased the log-likelihood (should not happen)."""
+    """A fixed-point step lowered the log-likelihood beyond rounding error.
+
+    The fixed point cannot do so, so this signals a defect.  It is checked
+    on every iteration, whichever point the iteration then takes.
+    """
 
 
 @dataclass(frozen=True, init=False)
@@ -162,15 +185,16 @@ def grad_loglik(alpha: AlphaLike, d: Dataset) -> np.ndarray:
 
 
 class _TailCounts:
-    """Sufficient statistics for the fixed point, on one flat level grid.
+    """Sufficient statistics for the fit, on one flat level grid.
 
     Block k < K of the grid holds category k's tail counts, the number of
     observations with x_k > j at level j = 0 .. max x_k - 1; the last block
     holds the totals' tail counts, observations with N > i, negated.  So
     sum_obs [sum_{j < x_k} f(a_k + j) - sum_{i < N} f(A + i)] is the
     weighted sum of f over the grid ``at(alpha)``, whose entries are
-    alpha_k + j and A + i.  One iterate evaluates its log-likelihood and
-    the next step from the same grid, each one array pass over the levels.
+    alpha_k + j and A + i.  One iterate evaluates its log-likelihood, the
+    fixed-point step and the Newton step's sums from the same grid, each
+    one array pass over the levels.
     """
 
     def __init__(self, d: Dataset):
@@ -219,10 +243,8 @@ class _TailCounts:
 
     def step(self, alpha: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """One fixed-point step from ``alpha``, whose grid is ``grid``."""
-        q = self.weights / grid
-        # Each block is summed on its own, as np.sum would sum it alone;
-        # negating the totals block back is exact.
-        sums = [np.add.reduce(q[block]) for block in self.blocks]
+        # negating the totals block's sum back is exact
+        sums = self._block_sums(self.weights / grid)
         den = -sums.pop()
         # A never-observed category has an empty block and a zero sum, so
         # it lands on the floor with the categories that fall below it.
@@ -230,6 +252,20 @@ class _TailCounts:
         low = new < ALPHA_FLOOR
         new[low] = ALPHA_FLOOR
         return new, low.nonzero()[0].tolist()
+
+    def sums(self, grid: np.ndarray) -> tuple[list[float], list[float]]:
+        """Per block, the weighted sums of 1/x and of 1/x^2 over ``grid``.
+
+        Each list holds the K category blocks, then the totals block, whose
+        sums carry the negated weights.  The first list is the one
+        :meth:`step` forms.
+        """
+        q = self.weights / grid
+        return self._block_sums(q), self._block_sums(q / grid)
+
+    def _block_sums(self, values: np.ndarray) -> list[float]:
+        # Each block is summed on its own, as np.sum would sum it alone.
+        return [np.add.reduce(values[block]) for block in self.blocks]
 
 
 def _tail(values: np.ndarray, top: int) -> np.ndarray:
@@ -247,6 +283,42 @@ def _default_init(stats: _TailCounts, k: int) -> np.ndarray:
     return np.maximum(alpha.astype(float), ALPHA_FLOOR)
 
 
+def _newton(
+    alpha: np.ndarray, first: list[float], second: list[float]
+) -> tuple[np.ndarray | None, list[int], bool]:
+    """The Newton point from ``alpha``, given the block sums at its grid.
+
+    ``first`` and ``second`` are the block sums of :meth:`_TailCounts.sums`.
+    With g_k the gradient, q_k = -sum w/(alpha_k + j)^2 and
+    z = sum W/(A + i)^2, the Hessian diag(q) + z 11^T is solved by
+    Sherman-Morrison: delta_k = -(g_k - b)/q_k with
+    b = z sum(g/q) / (1 + z sum 1/q).  A never-observed category has empty
+    blocks and q_k = 0; it stays out of the solve and on the floor.
+
+    Returns the point, the categories it pins to the floor, and whether the
+    Hessian is clearly negative definite (the denominator above
+    :data:`_CURVED`).  The point is None when the Hessian is not, or when
+    the point is not finite or falls below :data:`ALPHA_FLOOR`.
+    """
+    s1 = np.array(first[:-1])
+    seen = s1 > 0.0
+    d1 = -first[-1]  # the totals block carries negated weights
+    g = s1[seen] - d1
+    q = -np.array(second[:-1])[seen]
+    z = -second[-1]
+    # far out toward a maximum at infinity q_k can underflow to 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        denom = 1.0 + z * np.sum(1.0 / q)
+        curved = bool(denom > _CURVED)
+        if not curved:
+            return None, [], False
+        point = np.full_like(alpha, ALPHA_FLOOR)
+        point[seen] = alpha[seen] - (g - z * np.sum(g / q) / denom) / q
+        if not (point.min() >= ALPHA_FLOOR and np.isfinite(point.sum())):
+            return None, [], True
+    return point, (~seen).nonzero()[0].tolist(), True
+
+
 def fit_alpha_mle(
     d: Dataset,
     init: AlphaLike | None = None,
@@ -255,12 +327,25 @@ def fit_alpha_mle(
     *,
     record_trace: bool = True,
 ) -> FitResult:
-    """Fit concentration parameters by the multiplicative fixed point.
+    """Fit concentration parameters by Newton steps with the fixed point as a floor.
 
-    Iterates until the largest relative change max_k |delta alpha_k| /
-    alpha_k drops to ``tol`` or ``max_iter`` steps have run; ``converged``
-    reports which happened.  With ``max_iter=0`` the initial point is
-    returned unchanged (``converged=False``).
+    Each iteration computes the multiplicative fixed-point step and checks
+    that it does not lower the log-likelihood (:class:`MonotonicityError`
+    if it does).  It then takes the Newton point instead when that point is
+    finite, has every alpha_k at or above :data:`ALPHA_FLOOR`, and has a
+    log-likelihood at least the fixed point's.  One iteration costs a few
+    array passes over the grid of count levels (see the module docstring)
+    and O(K) more.
+
+    Iterates until ``max_iter`` steps have run or the largest relative
+    change max_k |delta alpha_k| / alpha_k drops to ``tol`` at a point
+    where the Hessian is clearly negative definite.  ``converged`` reports
+    which happened: when true, ``alpha_hat`` is a local maximum to about
+    ``tol`` relative.  Where the maximum lies at infinity (multinomial-like
+    data, or a single row such as (1, 1)), the Hessian loses its curvature,
+    the iterate grows but stays finite, and ``converged`` stays false.
+    With ``max_iter=0`` the initial point is returned unchanged
+    (``converged=False``).
 
     Raises :class:`DomainError` for single-category data (the likelihood is
     identically zero, so there is nothing to fit), for datasets whose
@@ -276,8 +361,8 @@ def fit_alpha_mle(
     if all(o.total == 0 for o in d.observations):
         raise DomainError("every observation is all-zero; there is nothing to fit")
     _check_size("max_iter", max_iter)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
+    if not (isinstance(tol, numbers.Real) and tol > 0.0):
+        raise DomainError(f"tol must be a number > 0, got {tol!r}")
 
     if init is not None:
         init = _as_alpha(init)
@@ -312,6 +397,13 @@ def fit_alpha_mle(
             raise MonotonicityError(
                 f"log-likelihood decreased at iteration {it}: {ll!r} -> {new_ll!r}"
             )
+        point, point_pinned, curved = _newton(alpha, *stats.sums(grid))
+        if point is not None:
+            point_grid = stats.at(point)
+            point_ll = stats.loglik(point_grid)
+            if point_ll >= new_ll:
+                new_alpha, new_grid, new_ll = point, point_grid, point_ll
+                pinned = point_pinned
         rel_change = float((np.abs(new_alpha - alpha) / alpha).max())
         alpha = new_alpha
         grid = new_grid
@@ -320,7 +412,9 @@ def fit_alpha_mle(
         floored.update(pinned)
         if record_trace:
             trace.append((it, ll))
-        if rel_change <= tol:
+        # A small step toward a limit at infinity certifies nothing: there
+        # the Hessian loses its curvature.
+        if rel_change <= tol and curved:
             converged = True
             break
 

@@ -37,6 +37,8 @@ class OldTailCounts:
 
     It plugs into the fitter through the grid interface: its grid is alpha
     itself, and a drop counts as a decrease beyond a fixed slack of 1e-10.
+    ``sums`` gives the Newton step's first- and second-order sums, one
+    ``np.sum`` per category, so the Newton path is checked as well.
     """
 
     def __init__(self, d):
@@ -78,6 +80,16 @@ class OldTailCounts:
                 pinned.append(k)
             new[k] = cand
         return new, pinned
+
+    def sums(self, alpha):
+        a_sum = math.fsum(alpha)
+        first, second = [], []
+        for a, tail in [*zip(alpha, self.per_category), (a_sum, self.totals)]:
+            x = a + np.arange(tail.size)
+            first.append(float(np.sum(tail / x)))
+            second.append(float(np.sum(tail / x / x)))
+        first[-1], second[-1] = -first[-1], -second[-1]
+        return first, second
 
 
 def _old_tail(values):

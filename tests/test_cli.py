@@ -70,6 +70,12 @@ class TestParseTable:
         with pytest.raises(TableParseError, match="line 1"):
             parse_count_table("1,-2\n3,4\n")
 
+    def test_leading_zeros_past_the_digit_limit_are_a_count(self):
+        # int() refuses a literal of over 4300 digits, leading zeros included
+        table = parse_count_table("0" * 5000 + "1,2\n")
+        assert table.column_names is None
+        assert [r.counts for r in table.rows] == [(1, 2)]
+
     def test_ragged_row_names_line(self):
         with pytest.raises(TableParseError, match="line 3"):
             parse_count_table("a,b\n1,2\n1,2,3\n")
@@ -211,6 +217,21 @@ class TestLoglik:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert f"line {lineno}: counts must be non-negative" in err
+
+    @pytest.mark.parametrize("big_first", [True, False])
+    def test_literal_past_the_digit_limit_fails_with_its_line(
+        self, capsys, counts_file, big_first
+    ):
+        # one cell of 5000 digits is past int()'s limit: it must not make
+        # the first row a header, nor any row text
+        rows = ["9" * 5000 + ",1", "2,3"]
+        text = "\n".join(rows if big_first else rows[::-1]) + "\n"
+        code, out, err = run_cli(capsys, "loglik", counts_file(text), "--alpha", "1,1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"line {1 if big_first else 2}: " in err
+        assert err.rstrip().endswith("does not fit in 64 bits")
 
     def test_overflowing_alpha_is_one_error_line(self, capsys, counts_file):
         code, out, err = run_cli(

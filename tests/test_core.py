@@ -75,6 +75,11 @@ class TestCountVector:
         x = CountVector(np.array([2, 5], dtype=np.int64))
         assert x.counts == (2, 5)
 
+    def test_non_iterable_is_a_domain_error_naming_it(self):
+        with pytest.raises(DomainError) as info:
+            CountVector(5)
+        assert str(info.value) == "counts must be a sequence of integers, got 5"
+
 
 class TestAlphaParams:
     def test_sum_is_cached(self):
@@ -100,6 +105,11 @@ class TestAlphaParams:
         assert str(info.value) == (
             f"concentration parameters: {bad!r} is not a real number"
         )
+
+    def test_non_iterable_is_a_domain_error_naming_it(self):
+        with pytest.raises(DomainError) as info:
+            AlphaParams(5)
+        assert str(info.value) == "concentration parameters: expected a sequence, got 5"
 
     def test_numeric_entries_are_read_as_floats(self):
         a = AlphaParams([1, np.float32(0.5), np.int64(2), "3.5"])
@@ -145,6 +155,11 @@ class TestMeanPhiParams:
         with pytest.raises(DomainError) as info:
             MeanPhiParams([1.0], bad)
         assert str(info.value) == f"over-dispersion phi: {bad!r} is not a real number"
+
+    def test_non_iterable_is_a_domain_error_naming_it(self):
+        with pytest.raises(DomainError) as info:
+            MeanPhiParams(5, 0.1)
+        assert str(info.value) == "probabilities: expected a sequence, got 5"
 
     def test_rejects_negative_probability(self):
         with pytest.raises(DomainError):

@@ -1,7 +1,8 @@
-"""Tests for dataset likelihood, gradient, and the fixed-point fitter."""
+"""Tests for dataset likelihood, gradient, and the Newton and fixed-point fitter."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,12 @@ class TestFit:
             fit_alpha_mle(Dataset([(1, 2), (3, 1)]), max_iter=bad)
         assert str(info.value) == f"max_iter must be an integer, got {bad!r}"
 
+    @pytest.mark.parametrize("bad", [None, "x"], ids=repr)
+    def test_non_numeric_tol_is_a_domain_error(self, bad):
+        with pytest.raises(DomainError) as info:
+            fit_alpha_mle(Dataset([(1, 2), (3, 1)]), tol=bad)
+        assert str(info.value) == f"tol must be a number > 0, got {bad!r}"
+
     def test_numpy_integer_max_iter_is_accepted(self):
         d = Dataset([(1, 2), (3, 1), (2, 2)])
         result = fit_alpha_mle(d, max_iter=np.int64(5))
@@ -278,6 +285,50 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # a grid of 2^23 float levels alone is 64 MiB
+
+
+def _stationarity(result, d):
+    """max_k |alpha_k g_k|, the gradient in log alpha, at the fitted point."""
+    g = grad_loglik(result.alpha_hat, d)
+    return float(np.max(np.abs(np.array(result.alpha_hat.alpha) * g)))
+
+
+class TestNewton:
+    """Newton steps reach the stationary point the fixed point crawls toward,
+    and stay finite and unconverged where the maximum is at infinity."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_concentrated_data_converges_to_a_stationary_point(self, seed):
+        # The fixed point alone takes about 2800 iterations here and stops
+        # with |alpha g| about 5e-4.
+        d = sample_dmn_dataset((10, 30, 60, 16, 44), 200, 1000, seed=seed)
+        result = fit_alpha_mle(d)
+        assert result.converged
+        assert result.iterations <= 30
+        assert _stationarity(result, d) <= 1e-6
+
+    def test_single_two_cell_row_stays_finite_and_unconverged(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit_alpha_mle(Dataset([(1, 1)]), max_iter=5000)
+        assert not result.converged
+        assert all(map(math.isfinite, result.alpha_hat.alpha))
+
+    def test_never_observed_category_does_not_stop_newton(self):
+        # The fixed point alone takes 2511 iterations here.
+        d = sample_dmn_dataset((10, 30, 60, 16), 200, 1000, seed=4)
+        rows = [[*x.counts[:2], 0, *x.counts[2:]] for x in d.observations]
+        result = fit_alpha_mle(Dataset(rows), max_iter=5000)
+        assert result.converged
+        assert result.iterations <= 50
+        assert result.floored == (2,)
+
+    def test_multinomial_data_reaches_its_stationary_point(self):
+        # The fixed point alone does not converge in 5000 iterations here.
+        d = sample_mn_dataset((0.2, 0.5, 0.3), n_trials=40, n_obs=300, seed=11)
+        result = fit_alpha_mle(d, max_iter=5000)
+        assert result.converged
+        assert _stationarity(result, d) <= 1e-6
 
 
 @st.composite
