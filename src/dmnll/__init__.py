@@ -1,4 +1,13 @@
-"""Exact Dirichlet-multinomial log-likelihoods, stable down to the multinomial limit."""
+"""Exact Dirichlet-multinomial log-likelihoods, stable down to the multinomial limit.
+
+The evaluators of :mod:`dmnll.core` are imported with the package.  The
+names of ``estimate`` and ``sampling`` (which need numpy) and of ``bench``
+(which needs mpmath), and those three submodules themselves, are imported
+on first use (PEP 562), so code that only evaluates likelihoods loads
+neither dependency.
+"""
+
+import importlib
 
 from .core import (
     AlphaParams,
@@ -20,17 +29,6 @@ from .core import (
     mn_loglik_kernel,
     params_from_mean_phi,
 )
-from .estimate import Dataset, FitResult, fit_alpha_mle, grad_loglik, loglik_dataset
-from .bench import (
-    BenchRecord,
-    ExperimentConfig,
-    accuracy_defaults,
-    reference_loglik,
-    run_accuracy_experiment,
-    run_runtime_experiment,
-    runtime_defaults,
-)
-from .sampling import sample_dmn_dataset, sample_mn_dataset
 
 __version__ = "0.1.0"
 
@@ -69,3 +67,36 @@ __all__ = [
     "sample_mn_dataset",
     "__version__",
 ]
+
+#: The submodule that defines each name imported on first use.
+_LAZY = {
+    "Dataset": "estimate",
+    "FitResult": "estimate",
+    "fit_alpha_mle": "estimate",
+    "grad_loglik": "estimate",
+    "loglik_dataset": "estimate",
+    "BenchRecord": "bench",
+    "ExperimentConfig": "bench",
+    "accuracy_defaults": "bench",
+    "reference_loglik": "bench",
+    "run_accuracy_experiment": "bench",
+    "run_runtime_experiment": "bench",
+    "runtime_defaults": "bench",
+    "sample_dmn_dataset": "sampling",
+    "sample_mn_dataset": "sampling",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    elif name in _LAZY.values():
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

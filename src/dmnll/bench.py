@@ -3,7 +3,9 @@
 Two sweeps, both over count vectors ``x = n * base_counts`` for a grid of
 multipliers ``n``:
 
-* accuracy: absolute error of each evaluator against a 40-digit reference;
+* accuracy: absolute error of each evaluator against a 40-digit reference,
+  from one evaluation per grid point and method, whose own duration is the
+  record's (informational) ``wall_time_ns``;
 * runtime: wall time of ``evaluations_per_point`` consecutive evaluations,
   median over ``repeats`` timing samples on a monotonic clock.
 
@@ -14,13 +16,13 @@ checked rather than assumed.
 
 Records serialize to CSV (header ``n,method,abs_error,rel_error,
 wall_time_ns,terms``) and to a versioned JSON document.  Everything except
-``wall_time_ns`` is deterministic.
+``wall_time_ns`` is deterministic, and both sweeps give the same records
+apart from it.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import statistics
 import time
 from dataclasses import dataclass
@@ -29,6 +31,7 @@ from typing import Callable, Iterable, Sequence
 import mpmath
 
 from .core import (
+    SCHEMA_VERSION,
     AlphaLike,
     AlphaParams,
     CountVector,
@@ -39,6 +42,7 @@ from .core import (
     _as_alpha,
     _as_counts,
     _checked,
+    canonical_json,
     dmn_loglik_exact,
     dmn_loglik_lgamma,
     params_from_mean_phi,
@@ -63,7 +67,6 @@ __all__ = [
     "canonical_json",
 ]
 
-SCHEMA_VERSION = 1
 CSV_HEADER = "n,method,abs_error,rel_error,wall_time_ns,terms"
 
 #: Working precision (significant decimal digits) of the reference evaluator.
@@ -122,7 +125,12 @@ class BenchRecord:
 
 @dataclass(frozen=True, init=False)
 class ExperimentConfig:
-    """Sweep definition: counts pattern, (p, phi) parameters, and grid."""
+    """Sweep definition: counts pattern, (p, phi) parameters, and grid.
+
+    ``repeats`` and ``evaluations_per_point`` govern only the runtime
+    sweep; the accuracy sweep evaluates each grid point once, but they are
+    validated for both.
+    """
 
     base_counts: CountVector
     p: tuple[float, ...]
@@ -180,7 +188,11 @@ def accuracy_defaults(
     repeats: int = DEFAULT_REPEATS,
     evaluations_per_point: int = DEFAULT_EVALS_PER_POINT,
 ) -> ExperimentConfig:
-    """Accuracy sweep: four balanced categories, mild over-dispersion."""
+    """Accuracy sweep: four balanced categories, mild over-dispersion.
+
+    ``repeats`` and ``evaluations_per_point`` are validated, but they govern
+    only :func:`run_runtime_experiment`, not the accuracy sweep.
+    """
     return ExperimentConfig(
         base_counts=(1, 1, 1, 1),
         p=(0.1, 0.2, 0.3, 0.4),
@@ -226,47 +238,49 @@ def _time_evaluations(func, alpha, x, repeats: int, evals: int) -> int:
     return max(int(statistics.median(samples)), 1)
 
 
-def _run_point(
-    cfg: ExperimentConfig, alpha: AlphaParams, n: int, ref: float
-) -> list[BenchRecord]:
-    x = cfg.counts_at(n)
-    records = []
-    for method in (Method.EXACT, Method.LOG_GAMMA):
-        func = _METHOD_FUNCS[method]
-        wall = _time_evaluations(func, alpha, x, cfg.repeats, cfg.evaluations_per_point)
-        result = func(alpha, x)
-        abs_error = abs(result.value - ref)
-        rel_error = abs_error / abs(ref) if ref != 0.0 else 0.0
-        records.append(
-            BenchRecord(
-                n_scale=n,
-                method=method,
-                abs_error=abs_error,
-                rel_error=rel_error,
-                wall_time_ns=wall,
-                terms=result.terms,
-            )
-        )
-    return records
+def _sweep(cfg: ExperimentConfig, timed: bool) -> list[BenchRecord]:
+    """Both evaluators at every grid point, in grid order, on the calling thread.
 
-
-def _sweep(cfg: ExperimentConfig) -> list[BenchRecord]:
-    """Both evaluators at every grid point, in grid order, on the calling thread."""
+    Each record's errors and terms come from one evaluation, and its
+    ``wall_time_ns`` is that evaluation's duration, or with ``timed`` the
+    median of :func:`_time_evaluations`.
+    """
     alpha = cfg.alpha()
-    return [
-        rec
-        for n in cfg.n_values
-        for rec in _run_point(cfg, alpha, n, reference_loglik(alpha, cfg.counts_at(n)))
-    ]
+    records = []
+    for n in cfg.n_values:
+        x = cfg.counts_at(n)
+        ref = reference_loglik(alpha, x)
+        for method, func in _METHOD_FUNCS.items():
+            t0 = time.perf_counter_ns()
+            result = func(alpha, x)
+            wall = max(time.perf_counter_ns() - t0, 1)
+            if timed:
+                wall = _time_evaluations(
+                    func, alpha, x, cfg.repeats, cfg.evaluations_per_point
+                )
+            abs_error = abs(result.value - ref)
+            records.append(
+                BenchRecord(
+                    n_scale=n,
+                    method=method,
+                    abs_error=abs_error,
+                    rel_error=abs_error / abs(ref) if ref != 0.0 else 0.0,
+                    wall_time_ns=wall,
+                    terms=result.terms,
+                )
+            )
+    return records
 
 
 def run_accuracy_experiment(cfg: ExperimentConfig) -> list[BenchRecord]:
     """Error of both evaluators against the reference at every grid point.
 
-    Records are returned in grid order.  Wall times measured here are
-    informational; use :func:`run_runtime_experiment` for timing claims.
+    Records are returned in grid order.  Each evaluator runs once per grid
+    point, and that call's duration is the record's ``wall_time_ns``: it is
+    informational, so use :func:`run_runtime_experiment` for timing claims.
+    ``cfg.repeats`` and ``cfg.evaluations_per_point`` are not used here.
     """
-    return _sweep(cfg)
+    return _sweep(cfg, timed=False)
 
 
 def run_runtime_experiment(cfg: ExperimentConfig) -> list[BenchRecord]:
@@ -275,20 +289,12 @@ def run_runtime_experiment(cfg: ExperimentConfig) -> list[BenchRecord]:
     Strictly sequential and single-threaded so concurrent work cannot
     contaminate the timings.
     """
-    return _sweep(cfg)
+    return _sweep(cfg, timed=True)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def canonical_json(payload) -> str:
-    """Stable JSON encoding: sorted keys, two-space indent, trailing newline.
-
-    Re-encoding a parsed document reproduces it byte for byte.
-    """
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def records_to_csv(records: Iterable[BenchRecord]) -> str:

@@ -16,13 +16,14 @@ import re
 import sys
 from dataclasses import dataclass
 
-from . import bench
 from .core import (
+    SCHEMA_VERSION,
     AlphaParams,
     CountVector,
     DmnError,
     DomainError,
     MeanPhiParams,
+    canonical_json,
     dmn_loglik_exact,  # noqa: F401  perfbench/spans.py rebinds this name here
     dmn_loglik_lgamma,
     dmn_loglik_rows,
@@ -230,12 +231,12 @@ def cmd_loglik(args) -> int:
 
     if args.format == "json":
         payload = {
-            "schema_version": bench.SCHEMA_VERSION,
+            "schema_version": SCHEMA_VERSION,
             "method": method,
             "rows": [{"row": i, "loglik": v, "terms": t} for i, v, t in rows],
             "total": total,
         }
-        _emit(bench.canonical_json(payload), args.out)
+        _emit(canonical_json(payload), args.out)
     else:
         lines = ["row,loglik,terms"]
         lines += [f"{i},{v!r},{t}" for i, v, t in rows]
@@ -269,7 +270,7 @@ def cmd_fit(args) -> int:
 
     if args.format == "json":
         payload = {
-            "schema_version": bench.SCHEMA_VERSION,
+            "schema_version": SCHEMA_VERSION,
             "alpha_hat": list(result.alpha_hat.alpha),
             "columns": list(names),
             "loglik": result.loglik,
@@ -277,7 +278,7 @@ def cmd_fit(args) -> int:
             "converged": result.converged,
             "floored": list(result.floored),
         }
-        _emit(bench.canonical_json(payload), args.out)
+        _emit(canonical_json(payload), args.out)
     else:
         lines = ["field,value"]
         lines += [
@@ -298,6 +299,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench  # imports mpmath, which only this command needs
+
     kwargs = {}
     if args.n is not None:
         kwargs["n_values"] = _parse_ints(args.n, "--n")
@@ -365,7 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run an accuracy or runtime sweep")
     p_bench.add_argument("experiment", choices=("accuracy", "runtime"))
     p_bench.add_argument("--n", help="count multipliers, comma-separated")
-    p_bench.add_argument("--repeats", type=int, help="timing repeats (median taken)")
+    p_bench.add_argument(
+        "--repeats",
+        type=int,
+        help="timing repeats of the runtime sweep, median taken "
+        "(the accuracy sweep times one call per point)",
+    )
     add_output_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

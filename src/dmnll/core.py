@@ -30,6 +30,7 @@ preconditions; impossible events are reported as ``-inf``.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import sys
@@ -66,6 +67,9 @@ MAX_TOTAL_COUNT = 1 << 40
 
 #: Tolerance on |sum(p) - 1| for probability vectors.
 SIMPLEX_TOL = 1e-12
+
+#: Version of the JSON documents the CLI and the benchmarks write.
+SCHEMA_VERSION = 1
 
 _MAX_COUNT = (1 << 63) - 1
 _NEG_INF = float("-inf")
@@ -643,3 +647,11 @@ def mn_log_pmf(p: Sequence[float], x: CountsLike) -> float:
     if kernel == _NEG_INF:
         return _NEG_INF
     return log_multinomial_coef(x) + kernel
+
+
+def canonical_json(payload) -> str:
+    """Stable JSON encoding: sorted keys, two-space indent, trailing newline.
+
+    Re-encoding a parsed document reproduces it byte for byte.
+    """
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

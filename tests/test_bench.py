@@ -172,3 +172,28 @@ class TestSerialization:
         assert doc["records"][0]["n"] == 2
         # canonical form re-encodes byte for byte
         assert canonical_json(doc) == text
+
+
+class TestOneEvaluationPerPoint:
+    def test_accuracy_calls_each_evaluator_once_per_point(self, monkeypatch):
+        calls = []
+        for method, func in list(bench._METHOD_FUNCS.items()):
+            def counted(alpha, x, _func=func, _method=method):
+                calls.append((_method, x.total))
+                return _func(alpha, x)
+
+            monkeypatch.setitem(bench._METHOD_FUNCS, method, counted)
+        cfg = accuracy_defaults(n_values=(0, 3), repeats=3)
+        records = run_accuracy_experiment(cfg)
+        assert calls == [
+            (Method.EXACT, 0), (Method.LOG_GAMMA, 0),
+            (Method.EXACT, 12), (Method.LOG_GAMMA, 12),
+        ]
+        assert all(r.wall_time_ns >= 1 for r in records)
+
+    def test_sweeps_agree_apart_from_wall_time(self):
+        cfg = accuracy_defaults(n_values=(0, 1, 5, 50), repeats=3, evaluations_per_point=3)
+        key = lambda recs: [
+            (r.n_scale, r.method, r.abs_error, r.rel_error, r.terms) for r in recs
+        ]
+        assert key(run_accuracy_experiment(cfg)) == key(run_runtime_experiment(cfg))

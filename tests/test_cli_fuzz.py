@@ -1,0 +1,141 @@
+"""Fuzz test of ``dmnll loglik``: odd tables and extreme parameters never break the contract.
+
+Whatever the input, the command exits 0, 1 or 2. A failure prints one
+``error:`` line on stderr and nothing on stdout; a success prints no NaN
+and one output row per input data row.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dmnll.cli import main
+
+#: Counts far past what the O(N) route may walk. They enter only as these
+#: cells, so every table the exact route accepts stays small.
+BIG = (2**40 + 1, 2**63 - 1, 2**63, 2**64)
+
+ALPHAS = (
+    "3",
+    "0.5,0.5",
+    "1,2,3",
+    "2,5,3,1",
+    "1e308,1e308,1",
+    "5e-324,1,1",
+    "nan,1,1",
+    "inf,1,1",
+    "0,1,1",
+    "-1,1,1",
+    "1,x,1",
+)
+
+
+def variants(ints):
+    """Integer cells as plain, padded, quoted or signed literals."""
+    return st.one_of(
+        ints.map(str),
+        ints.map(lambda n: f" {n} "),
+        ints.map(lambda n: f'"{n}"'),
+        ints.map(lambda n: f'" {n}"'),
+        ints.filter(lambda n: n >= 0).map(lambda n: f"+{n}"),
+    )
+
+
+#: Cells as (text, is an integer literal, big count or None).
+count_cell = variants(st.integers(0, 300)).map(lambda t: (t, True, None))
+int_cell = variants(st.integers(-5, 300)).map(lambda t: (t, True, None))
+big_cell = st.sampled_from(BIG).map(lambda n: (str(n), True, n))
+text_cell = st.one_of(
+    st.sampled_from(["", " ", "a", "alpha", "x1", "1.5", "2.0", "1e3", "-0.5", "inf", "nan"]),
+    # at least one letter, which no CSV quoting can remove, so never an integer
+    st.tuples(
+        st.text(alphabet="019 ._-+\"'", max_size=4),
+        st.text(alphabet="abcXYZ", min_size=1, max_size=3),
+    ).map("".join),
+).map(lambda t: (t, False, None))
+any_cell = st.one_of(int_cell, int_cell, big_cell, text_cell)
+
+
+@st.composite
+def cases(draw):
+    """An ``--alpha`` string and the lines of a counts CSV.
+
+    Rows are lists of cells; comment and blank lines are plain text.  Most
+    tables are as wide as alpha, and half hold only valid counts, so that
+    many of them succeed.
+    """
+    alpha = draw(st.sampled_from(ALPHAS))
+    k = alpha.count(",") + 1
+    width = draw(st.sampled_from([k, k, k, 1, 2, 3, 4]))
+    clean = st.lists(count_cell, min_size=width, max_size=width)
+    dirty = st.lists(any_cell, min_size=width, max_size=width)
+    ragged = st.lists(any_cell, min_size=1, max_size=5)
+    comment = st.sampled_from(["# comment", "#1,2,3", "   ", ""])
+    if draw(st.booleans()):
+        line = st.one_of(clean, comment)
+    else:
+        line = st.one_of(clean, dirty, ragged, comment)
+    lines = draw(st.lists(line, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.lists(text_cell, min_size=width, max_size=width)))
+    return alpha, lines
+
+
+def render(lines) -> tuple[str, list]:
+    """The table's text and its data rows: every row of cells but a header."""
+    text, rows = [], []
+    for line in lines:
+        if isinstance(line, str):
+            text.append(line)
+            continue
+        raw = ",".join(c for c, _, _ in line)
+        text.append(raw)
+        if raw.strip() and not raw.strip().startswith("#"):
+            rows.append(line)
+    header = bool(rows) and not all(is_int for _, is_int, _ in rows[0])
+    return "\n".join(text) + "\n", rows[1:] if header else rows
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "counts.csv"
+
+
+@given(
+    case=cases(),
+    method=st.sampled_from([None, "exact", "lgamma"]),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_loglik_keeps_its_contract(table_path, case, method, fmt):
+    alpha, lines = case
+    text, data_rows = render(lines)
+    table_path.write_text(text, encoding="utf-8")
+    argv = ["loglik", str(table_path), f"--alpha={alpha}", "--format", fmt]
+    if method is not None:
+        argv += ["--method", method]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        return
+    assert err == ""
+    assert "nan" not in out.lower()
+    if fmt == "json":
+        assert len(json.loads(out)["rows"]) == len(data_rows)
+    else:
+        assert len(out.splitlines()) == 1 + len(data_rows) + 1
+    big = {n for row in data_rows for _, _, n in row if n is not None}
+    # a count past 64 bits never loads; past 2^40 the exact route refuses it
+    assert not big & {2**63, 2**64}
+    if method != "lgamma":
+        assert not big

@@ -1,0 +1,48 @@
+"""What importing the package and its CLI loads: each command pays only for what it uses."""
+
+import os
+import subprocess
+import sys
+
+import dmnll
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(dmnll.__file__)))
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this package; return stdout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_loads_neither_bench_nor_mpmath():
+    out = run_fresh(
+        "import sys, dmnll.cli\n"
+        "print(sorted(m for m in ('mpmath', 'dmnll.bench') if m in sys.modules))"
+    )
+    assert out.strip() == "[]"
+
+
+def test_package_import_is_lazy_and_every_name_resolves():
+    out = run_fresh(
+        "import sys, dmnll\n"
+        "print(sorted(m for m in ('mpmath', 'numpy', 'dmnll.bench', 'dmnll.estimate',"
+        " 'dmnll.sampling') if m in sys.modules))\n"
+        "print(dmnll.reference_loglik.__module__, dmnll.Dataset.__module__,"
+        " dmnll.bench.SCHEMA_VERSION, dmnll.sampling.sample_dmn_dataset.__module__)\n"
+        "ns = {}\n"
+        "exec('from dmnll import *', ns)\n"
+        "print(sorted(set(dmnll.__all__) - set(ns)))\n"
+        "from dmnll import fit_alpha_mle, estimate\n"
+        "print(fit_alpha_mle is estimate.fit_alpha_mle)\n"
+    )
+    assert out.splitlines() == [
+        "[]",
+        "dmnll.bench dmnll.estimate 1 dmnll.sampling",
+        "[]",
+        "True",
+    ]
