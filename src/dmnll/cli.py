@@ -23,10 +23,11 @@ from .core import (
     DmnError,
     DomainError,
     MeanPhiParams,
+    Method,
+    _loglik_table,
     canonical_json,
     dmn_loglik_exact,  # noqa: F401  perfbench/spans.py rebinds this name here
-    dmn_loglik_lgamma,
-    dmn_loglik_rows,
+    dmn_loglik_lgamma,  # noqa: F401  perfbench/spans.py rebinds this name here
     params_from_mean_phi,
 )
 from .estimate import DEFAULT_MAX_ITER, DEFAULT_TOL, Dataset, fit_alpha_mle
@@ -221,26 +222,22 @@ def cmd_loglik(args) -> int:
             f"parameters have {k} categories but the table has "
             f"{len(table.rows[0].counts)} columns"
         )
-    if method == "lgamma":
-        results = [dmn_loglik_lgamma(params, x) for x in table.rows]
-    else:
-        # exact with AlphaParams, phi with MeanPhiParams
-        results = dmn_loglik_rows(params, table.rows)
-    rows = [(i, res.value, res.terms) for i, res in enumerate(results)]
-    total = math.fsum(v for _, v, _ in rows)
+    values, terms = _loglik_table(params, table.rows, Method(method))
+    rows = enumerate(zip(values, terms))
+    total = math.fsum(values)
 
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "method": method,
-            "rows": [{"row": i, "loglik": v, "terms": t} for i, v, t in rows],
+            "rows": [{"row": i, "loglik": v, "terms": t} for i, (v, t) in rows],
             "total": total,
         }
         _emit(canonical_json(payload), args.out)
     else:
         lines = ["row,loglik,terms"]
-        lines += [f"{i},{v!r},{t}" for i, v, t in rows]
-        lines.append(f"total,{total!r},{sum(t for _, _, t in rows)}")
+        lines += [f"{i},{v!r},{t}" for i, (v, t) in rows]
+        lines.append(f"total,{total!r},{sum(terms)}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -15,11 +15,13 @@ conventional log-gamma baseline it is benchmarked against
 phi = 0, where the distribution degenerates to the plain multinomial.
 With the parameters fixed, every row of a table walks a prefix of the same
 log sequence, so :func:`dmn_loglik_rows` evaluates a whole table from one
-shared walk per category, bit for bit equal to the per-row calls.  The
-per-row and table evaluators read the parameters in one place (``_route``),
-check each row in one place (``_checked``) and merge its states in one
-place (``_merge``); they differ only in where the states come from, a row's
-own walks or lookups into the shared ones.
+shared walk per category, bit for bit equal to the per-row calls; the
+lgamma route evaluates each distinct count once in the same way.  The
+table and the per-row sum-of-logs evaluators read the parameters and pick
+the route in one place (``_route``) and merge a row's states in one place
+(``_merge``); they differ only in where the states come from, a row's own
+walks or lookups into the shared ones.  The per-row lgamma call takes its
+parts from the same helper (``_lgamma_ratio``) as the table's lgamma route.
 
 Numerical policy: every inner sum is accumulated in ascending index order
 with Neumaier compensation, and the per-category partial sums are merged
@@ -37,6 +39,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import repeat
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -318,10 +321,16 @@ def _check_budget(x: CountVector) -> None:
         )
 
 
-def _checked(k_params: int, x: CountsLike) -> CountVector:
-    """``x`` as a :class:`CountVector` with K = ``k_params`` categories, within budget."""
+def _sized(k_params: int, x: CountsLike) -> CountVector:
+    """``x`` as a :class:`CountVector` with K = ``k_params`` categories."""
     x = _as_counts(x)
     _check_lengths(k_params, x)
+    return x
+
+
+def _checked(k_params: int, x: CountsLike) -> CountVector:
+    """``x`` as a :class:`CountVector` with K = ``k_params`` categories, within budget."""
+    x = _sized(k_params, x)
     _check_budget(x)
     return x
 
@@ -368,14 +377,21 @@ def _sum_terms(
 
 
 def _sum_logs(
-    start: float, step: float, levels: Iterable[int]
+    start: float, levels: Iterable[int], step: float = 1.0
 ) -> list[tuple[float, float]]:
     """:func:`_sum_terms` of log(start + j*step) at each of ``levels``."""
     return _sum_terms(math.log, start, step, levels)
 
 
+def _less_logs(
+    start: float, levels: Iterable[int], step: float = 1.0
+) -> list[tuple[float, float]]:
+    """:func:`_sum_logs` with each state negated: the denominator's part of a row."""
+    return [(-s, -c) for s, c in _sum_logs(start, levels, step)]
+
+
 def _sum_phi_logs(
-    p_k: float, phi: float, levels: Iterable[int]
+    p_k: float, levels: Iterable[int], phi: float
 ) -> list[tuple[float, float]]:
     """:func:`_sum_logs` of log(p_k (1-phi) + j phi) at each of ``levels``.
 
@@ -391,6 +407,33 @@ def _sum_phi_logs(
         return _sum_terms(math.log, start, phi, levels)
     first = math.log(p_k) + math.log1p(-phi)
     return _sum_terms(math.log, start, phi, levels, first)
+
+
+def _lgamma_ratio(top: float, bottom: float) -> float:
+    """lgamma(top) - lgamma(bottom): each part of the lgamma route is one.
+
+    Both lgamma evaluators take every part from here, so a table's row and
+    the per-row call add up the same floats.
+    """
+    try:
+        return math.lgamma(top) - math.lgamma(bottom)
+    except OverflowError as exc:
+        raise DomainError(
+            "lgamma overflows a float at these parameters; "
+            "the exact route evaluates them"
+        ) from exc
+
+
+def _lgamma_rises(a_k: float, levels: Iterable[int]) -> list[tuple[float]]:
+    """lgamma(a_k + n) - lgamma(a_k), the closed form of :func:`_sum_logs`'s
+    log sum, as a one-part state at each n in ``levels``."""
+    return [(_lgamma_ratio(a_k + n, a_k),) for n in levels]
+
+
+def _lgamma_falls(a_sum: float, levels: Iterable[int]) -> list[tuple[float]]:
+    """lgamma(A) - lgamma(A + n), the denominator's negated closed form, at
+    each n in ``levels``."""
+    return [(_lgamma_ratio(a_sum, a_sum + n),) for n in levels]
 
 
 def _reciprocal(y: float) -> float:
@@ -413,57 +456,116 @@ def _states_by_level(column: Iterable[int], sums, *args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The evaluation path the sum-of-logs evaluators share
+# The evaluation path the evaluators share
 # ---------------------------------------------------------------------------
 
 
-def _route(params: AlphaLike | MeanPhiParams):
-    """Starts, step, numerator walk, denominator start and method of ``params``.
+def _route(params: AlphaLike | MeanPhiParams, method: Method):
+    """The walks that evaluate ``params`` by ``method``, and how rows are checked.
 
-    The one place that tells concentration parameters from (p, phi).
-    Category k's numerator is ``walk(starts[k], step, levels)`` and the
-    denominator ``_sum_logs(den_start, step, levels)``.
+    The one place that tells the routes apart.  Returns ``(starts, walk,
+    den_start, den, check, terms)``: category k's states at ``levels`` are
+    ``walk(starts[k], levels)`` and the denominator's
+    ``den(den_start, levels)``, negated, so that a row's merge adds up
+    every state it reads; ``check(K, x)`` validates a row; ``terms`` is the
+    lgamma route's per-row cost, 2K + 2, or None on the sum-of-logs
+    routes, whose cost is the counts they read.  The phi route takes
+    :class:`MeanPhiParams`; the others take concentration parameters.
     """
-    if isinstance(params, MeanPhiParams):
-        return params.p, params.phi, _sum_phi_logs, 1.0 - params.phi, Method.PHI_FORM
+    if method is Method.PHI_FORM:
+        phi = params.phi
+        walk = partial(_sum_phi_logs, phi=phi)
+        return params.p, walk, 1.0 - phi, partial(_less_logs, step=phi), _checked, None
     alpha = _as_alpha(params)
-    return alpha.alpha, 1.0, _sum_logs, alpha.sum_a, Method.EXACT
+    if method is Method.LOG_GAMMA:
+        # O(K) per row: no budget on the counts
+        terms = 2 * len(alpha.alpha) + 2
+        return alpha.alpha, _lgamma_rises, alpha.sum_a, _lgamma_falls, _sized, terms
+    return alpha.alpha, _sum_logs, alpha.sum_a, _less_logs, _checked, None
 
 
-def _merge(x: CountVector, method: Method, lookups: Sequence) -> LogLikResult:
-    """Row ``x``'s result: the ``math.fsum`` of its K + 1 compensated states.
+def _ended(starts: Sequence[float], x: CountVector) -> int | None:
+    """Row ``x``'s terms if it observes a zero-probability category, else None.
 
-    ``lookups[k](n)`` is walk k's ``(s, c)`` after n terms: walks 0 .. K-1
-    are the categories' numerator sums, walk K the denominator.  They are
-    read in that order and none after an impossible category
-    (``s == -inf``): the row is then ``-inf`` and its ``terms`` are the
-    counts of the categories before it; otherwise ``terms`` is ``2N``.
+    Only such a category has a ``-inf`` walk, so such a row is ``-inf``.
+    Its terms are the counts of the categories before the first one, the
+    numerator logs a walk would take up to it; no walk is taken.
     """
-    parts: list[float] = []
+    if 0.0 not in starts:
+        return None
     n_logs = 0
-    for lookup, x_k in zip(lookups, x.counts):
-        s, c = lookup(x_k)
-        if s == _NEG_INF:
-            return LogLikResult(_NEG_INF, method, n_logs)
-        parts += (s, c)
+    for start, x_k in zip(starts, x.counts):
+        if start == 0.0 and x_k:
+            return n_logs
         n_logs += x_k
-    s, c = lookups[-1](x.total)
-    parts += (-s, -c)
-    return LogLikResult(math.fsum(parts), method, n_logs + x.total)
+    return None
 
 
-def _own_walk(walk, start: float, step: float, n: int) -> tuple[float, float]:
-    """The state of a walk of n terms taken on its own."""
-    return walk(start, step, (n,))[0]
+def _merge(rows: Iterable[Iterable[float]]) -> list[float]:
+    """Each row's value: the ``math.fsum`` of its parts.
+
+    A row's parts are its K + 1 states in order, the categories' numerators
+    and then the negated denominator.  This is the one NaN check the
+    evaluators make on their way to plain floats.
+    """
+    values = list(map(math.fsum, rows))
+    if any(map(math.isnan, values)):
+        raise DmnError("internal error: NaN log-likelihood")
+    return values
 
 
-def _walk_row(params: AlphaParams | MeanPhiParams, x: CountsLike) -> LogLikResult:
-    """One row from walks of its own, each taken only when the merge reads it."""
-    starts, step, walk, den_start, method = _route(params)
-    x = _checked(len(starts), x)
-    lookups = [partial(_own_walk, walk, start, step) for start in starts]
-    lookups.append(partial(_own_walk, _sum_logs, den_start, step))
-    return _merge(x, method, lookups)
+def _walk_row(params: AlphaLike | MeanPhiParams, x: CountsLike, method: Method) -> LogLikResult:
+    """One row from walks of its own; a ``-inf`` row takes none."""
+    starts, walk, den_start, den, check, terms = _route(params, method)
+    x = check(len(starts), x)
+    ended = _ended(starts, x)
+    if ended is not None:
+        return LogLikResult(_NEG_INF, method, ended)
+    parts: list[float] = []
+    for start, x_k in zip(starts, x.counts):
+        parts += walk(start, (x_k,))[0]
+    parts += den(den_start, (x.total,))[0]
+    (value,) = _merge([parts])
+    return LogLikResult(value, method, 2 * x.total if terms is None else terms)
+
+
+#: The state a ``-inf`` row reads where no walk covers it.
+_NO_WALK = (_NEG_INF, 0.0)
+
+
+def _loglik_table(
+    params: AlphaLike | MeanPhiParams, rows: Iterable[CountsLike], method: Method
+) -> tuple[list[float], list[int]]:
+    """Every row's value and terms, as plain floats and ints, from shared passes.
+
+    Row r's are those of the per-row evaluator of ``method`` on ``rows[r]``,
+    bit for bit.  Each category is walked once, up to its largest count, and
+    the denominator once, up to the largest total, recording the state at
+    each distinct count; each row then merges its K + 1 states as the
+    per-row call does.  A ``-inf`` row is left out of every walk, so no
+    walk takes more logs (or lgamma calls) than the per-row calls.  Every
+    row is checked, in order, before any pass starts.
+    """
+    starts, walk, den_start, den, check, terms = _route(params, method)
+    checked = [check(len(starts), x) for x in rows]
+    if not checked:
+        return [], []
+    ended = {}
+    if 0.0 in starts:
+        ended = {r: n for r, x in enumerate(checked) if (n := _ended(starts, x)) is not None}
+    columns = [*zip(*(x.counts for x in checked)), [x.total for x in checked]]
+    walks = [partial(walk, start) for start in starts]
+    walks.append(partial(den, den_start))
+    parts: list[tuple[float, ...]] = []  # one column per part of a state
+    for walk_k, column in zip(walks, columns):
+        live = [n for r, n in enumerate(column) if r not in ended] if ended else column
+        states = _states_by_level(live, walk_k)
+        parts += zip(*map(states.get, column, repeat(_NO_WALK)))
+    values = _merge(zip(*parts))
+    costs = [terms] * len(checked) if terms is not None else [2 * n for n in columns[-1]]
+    for r, n in ended.items():
+        costs[r] = n
+    return values, costs
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +589,7 @@ def dmn_loglik_exact(alpha: AlphaLike, x: CountsLike) -> LogLikResult:
     The per-category compensated partial sums are merged with ``math.fsum``,
     so jointly permuting (alpha_k, x_k) pairs cannot change the result.
     """
-    return _walk_row(_as_alpha(alpha), x)
+    return _walk_row(alpha, x, Method.EXACT)
 
 
 def dmn_loglik_lgamma(alpha: AlphaLike, x: CountsLike) -> LogLikResult:
@@ -499,22 +601,11 @@ def dmn_loglik_lgamma(alpha: AlphaLike, x: CountsLike) -> LogLikResult:
     lgamma values, so its absolute error grows with N.
     """
     alpha = _as_alpha(alpha)
-    x = _as_counts(x)
-    _check_lengths(len(alpha.alpha), x)
-    lg = math.lgamma
-    a_sum = alpha.sum_a
-    try:
-        parts = [lg(a_sum) - lg(a_sum + x.total)]
-        for a_k, x_k in zip(alpha.alpha, x.counts):
-            parts.append(lg(a_k + x_k) - lg(a_k))
-        value = math.fsum(parts)
-    except OverflowError as exc:
-        raise DomainError(
-            "lgamma overflows a float at these parameters; "
-            "the exact route evaluates them"
-        ) from exc
-    terms = 2 * len(alpha.alpha) + 2
-    return LogLikResult(value, Method.LOG_GAMMA, terms)
+    x = _sized(len(alpha.alpha), x)
+    # the parts and their order are those a table's row merges
+    parts = [_lgamma_ratio(a_k + x_k, a_k) for a_k, x_k in zip(alpha.alpha, x.counts)]
+    parts.append(_lgamma_ratio(alpha.sum_a, alpha.sum_a + x.total))
+    return LogLikResult(math.fsum(parts), Method.LOG_GAMMA, 2 * len(alpha.alpha) + 2)
 
 
 def params_from_mean_phi(mp: MeanPhiParams) -> AlphaParams:
@@ -561,7 +652,7 @@ def dmn_loglik_phi(mp: MeanPhiParams, x: CountsLike) -> LogLikResult:
     """
     if not isinstance(mp, MeanPhiParams):
         raise DomainError("dmn_loglik_phi expects MeanPhiParams")
-    return _walk_row(mp, x)
+    return _walk_row(mp, x, Method.PHI_FORM)
 
 
 def dmn_loglik_rows(
@@ -579,24 +670,15 @@ def dmn_loglik_rows(
     up to its largest count, and the denominator once, up to the largest
     total, recording the compensated state at each distinct count.  Each row
     then merges its K + 1 states with ``math.fsum`` as the per-row call does.
-    A walk covers only the rows whose per-row call would reach it and never
-    goes past their column's sum, so this never takes more logs than the
-    per-row calls, and on a table with repeated counts far fewer.  Every row
-    is validated, in order, before any pass starts.
+    A walk never goes past its column's largest count, and a row that
+    observes a zero-probability category (a ``-inf`` row) takes no walk, so
+    this never takes more logs than the per-row calls, and on a table with
+    repeated counts far fewer.  Every row is validated, in order, before any
+    pass starts.
     """
-    starts, step, walk, den_start, method = _route(params)
-    checked = [_checked(len(starts), x) for x in rows]
-    tables = []
-    reach = checked  # the rows whose per-row call gets as far as category k
-    for k, start in enumerate(starts):
-        column = (x.counts[k] for x in reach)
-        tables.append(_states_by_level(column, walk, start, step))
-        if start == 0.0:
-            # an observed zero-probability category ends the row at -inf
-            reach = [x for x in reach if x.counts[k] == 0]
-    tables.append(_states_by_level((x.total for x in reach), _sum_logs, den_start, step))
-    lookups = [table.__getitem__ for table in tables]
-    return [_merge(x, method, lookups) for x in checked]
+    method = Method.PHI_FORM if isinstance(params, MeanPhiParams) else Method.EXACT
+    values, terms = _loglik_table(params, rows, method)
+    return [LogLikResult(value, method, n) for value, n in zip(values, terms)]
 
 
 def mn_loglik_kernel(p: Sequence[float], x: CountsLike) -> float:
@@ -612,10 +694,14 @@ def mn_loglik_kernel(p: Sequence[float], x: CountsLike) -> float:
     """
     probs = _as_simplex(p)
     x = _checked(len(probs), x)
-    lookups = [partial(_own_walk, _sum_phi_logs, p_k, 0.0) for p_k in probs]
-    # at phi = 0 every denominator term is log(1) = 0, so its state is (0, 0)
-    lookups.append(lambda n: (0.0, 0.0))
-    return _merge(x, Method.PHI_FORM, lookups).value
+    if _ended(probs, x) is not None:
+        return _NEG_INF
+    parts: list[float] = []
+    for p_k, x_k in zip(probs, x.counts):
+        parts += _sum_phi_logs(p_k, (x_k,), 0.0)[0]
+    # at phi = 0 every denominator term is log(1) = 0: its state adds nothing
+    (value,) = _merge([parts])
+    return value
 
 
 def log_multinomial_coef(x: CountsLike) -> float:
@@ -625,10 +711,10 @@ def log_multinomial_coef(x: CountsLike) -> float:
     """
     x = _as_counts(x)
     _check_budget(x)
-    s, c = _sum_logs(2.0, 1.0, (x.total - 1,))[0]
+    s, c = _sum_logs(2.0, (x.total - 1,))[0]
     parts = [s, c]
     for x_k in x.counts:
-        s, c = _sum_logs(2.0, 1.0, (x_k - 1,))[0]
+        s, c = _sum_logs(2.0, (x_k - 1,))[0]
         parts.append(-s)
         parts.append(-c)
     return math.fsum(parts)

@@ -45,14 +45,15 @@ from .core import (
     DimensionMismatchError,
     DmnError,
     DomainError,
+    Method,
     ResourceLimitError,
     _as_alpha,
     _check_size,
     _finite_fsum,
+    _loglik_table,
     _states_by_level,
     _sum_recips,
     dmn_loglik_exact,  # noqa: F401  perfbench/spans.py rebinds this name here
-    dmn_loglik_rows,
 )
 
 __all__ = [
@@ -153,7 +154,7 @@ def loglik_dataset(alpha: AlphaLike, d: Dataset) -> float:
     """Log-likelihood of i.i.d. observations: the sum of per-row kernels."""
     alpha = _as_alpha(alpha)
     _check_k(alpha, d)
-    return math.fsum(r.value for r in dmn_loglik_rows(alpha, d.observations))
+    return math.fsum(_loglik_table(alpha, d.observations, Method.EXACT)[0])
 
 
 def grad_loglik(alpha: AlphaLike, d: Dataset) -> np.ndarray:
@@ -404,7 +405,9 @@ def fit_alpha_mle(
             if point_ll >= new_ll:
                 new_alpha, new_grid, new_ll = point, point_grid, point_ll
                 pinned = point_pinned
-        rel_change = float((np.abs(new_alpha - alpha) / alpha).max())
+        # a jump off the floor can overflow the ratio: inf is "not converged"
+        with np.errstate(over="ignore"):
+            rel_change = float((np.abs(new_alpha - alpha) / alpha).max())
         alpha = new_alpha
         grid = new_grid
         ll = new_ll

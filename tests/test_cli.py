@@ -4,12 +4,16 @@ import json
 import math
 import subprocess
 import sys
+import types
+import warnings
 
 import pytest
 
 from dmnll import (
     MeanPhiParams,
+    core,
     dmn_loglik_exact,
+    dmn_loglik_lgamma,
     dmn_loglik_phi,
     estimate,
     sample_dmn_dataset,
@@ -260,6 +264,37 @@ class TestLoglik:
             assert code == 0
             assert out == _per_row_output(rows, method, evaluate, fmt)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_lgamma_output_matches_per_row_calls_bytewise(self, capsys, counts_file, fmt):
+        alpha = (2.0, 5.0, 3.0, 1.0, 4.0)
+        rows = sample_dmn_dataset(alpha, 60, 300, seed=7).observations
+        path = counts_file("".join(",".join(map(str, x.counts)) + "\n" for x in rows))
+        flags = ("--alpha", "2,5,3,1,4", "--method", "lgamma", "--format", fmt)
+        code, out, _ = run_cli(capsys, "loglik", path, *flags)
+        assert code == 0
+        assert out == _per_row_output(
+            rows, "lgamma", lambda x: dmn_loglik_lgamma(alpha, x), fmt
+        )
+
+    @pytest.mark.parametrize(
+        "flags, function",
+        [
+            (("--alpha", "1,2"), "log"),
+            (("--p", "0.25,0.75", "--phi", "0.1"), "log"),
+            (("--alpha", "1,2", "--method", "lgamma"), "lgamma"),
+        ],
+    )
+    def test_nan_from_a_route_is_one_error_line(
+        self, capsys, counts_file, monkeypatch, flags, function
+    ):
+        fake = types.SimpleNamespace(**vars(math))
+        setattr(fake, function, lambda *args: math.nan)
+        monkeypatch.setattr(core, "math", fake)
+        code, out, err = run_cli(capsys, "loglik", counts_file("1,2\n0,3\n"), *flags)
+        assert code == 1
+        assert out == ""
+        assert err == "error: internal error: NaN log-likelihood\n"
+
     def test_out_file(self, capsys, counts_file, tmp_path):
         path = counts_file("1,1\n")
         target = tmp_path / "result.csv"
@@ -338,6 +373,15 @@ class TestFit:
         assert code == 0
         monkeypatch.setattr(estimate, "_TailCounts", OldTailCounts)
         assert run_cli(capsys, *argv) == (0, out, "")
+
+    def test_jump_off_the_floor_prints_no_warning(self, capsys, counts_file):
+        path = counts_file("1,5\n3,4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "fit", path, "--alpha", "1e308,1e-8")
+        assert code == 0
+        assert err == ""
+        assert "converged,false" in out
 
     @pytest.mark.filterwarnings("error")
     def test_init_below_the_floor_is_one_error_line(self, capsys, counts_file):

@@ -1,16 +1,18 @@
-"""Fuzz test of ``dmnll loglik``: odd tables and extreme parameters never break the contract.
+"""Fuzz tests of ``dmnll loglik`` and ``dmnll fit``: odd tables and extreme
+parameters never break the contract.
 
-Whatever the input, the command exits 0, 1 or 2. A failure prints one
-``error:`` line on stderr and nothing on stdout; a success prints no NaN
-and one output row per input data row.
+Whatever the input, a command exits 0, 1 or 2. A failure prints one
+``error:`` line on stderr and nothing on stdout; a success prints no NaN,
+and ``loglik`` prints one output row per input data row.
 """
 
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmnll.cli import main
@@ -139,3 +141,53 @@ def test_loglik_keeps_its_contract(table_path, case, method, fmt):
     assert not big & {2**63, 2**64}
     if method != "lgamma":
         assert not big
+
+
+#: ``--alpha`` cells for ``fit``: at the floor and below it, subnormal, near
+#: the float maximum, and not a positive number at all.
+FIT_ALPHA_CELLS = (
+    "1", "0.5", "3e307", "1e308", "1.7976931348623157e308", "1e-8", "9e-9",
+    "1e-300", "5e-324", "0", "-1", "nan", "inf", "x",
+)
+
+
+@st.composite
+def fit_cases(draw):
+    """A small table, an ``--alpha`` string or None, ``--max-iter`` and a format."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(st.integers(min_value=0, max_value=50), min_size=k, max_size=k)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    alpha = None
+    if draw(st.booleans()):
+        # mostly as wide as the table, sometimes not
+        width = draw(st.sampled_from([k, k, k, k + 1, max(k - 1, 1)]))
+        cells = draw(st.lists(st.sampled_from(FIT_ALPHA_CELLS), min_size=width, max_size=width))
+        alpha = ",".join(cells)
+    max_iter = draw(st.integers(min_value=0, max_value=50))
+    return rows, alpha, max_iter, draw(st.sampled_from(["csv", "json"]))
+
+
+@given(case=fit_cases())
+# alpha_2 jumps off the floor to about 3e307: its relative change overflows
+@example(case=([[1, 5], [3, 4]], "1e308,1e-8", 50, "csv"))
+@settings(max_examples=100, deadline=None)
+def test_fit_keeps_its_contract(table_path, case):
+    rows, alpha, max_iter, fmt = case
+    table_path.write_text("".join(",".join(map(str, r)) + "\n" for r in rows), encoding="utf-8")
+    argv = ["fit", str(table_path), "--max-iter", str(max_iter), "--format", fmt]
+    if alpha is not None:
+        argv.append(f"--alpha={alpha}")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        return
+    assert err == ""
+    assert "nan" not in out.lower()

@@ -7,6 +7,7 @@ scipy.stats cross-checks.
 
 import math
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -169,6 +170,30 @@ class TestMeanPhiParams:
 def test_loglik_result_rejects_nan():
     with pytest.raises(DmnError):
         LogLikResult(float("nan"), Method.EXACT, 0)
+
+
+@pytest.mark.parametrize(
+    "params, evaluate, method, function",
+    [
+        ((1.0, 2.0), dmn_loglik_exact, Method.EXACT, "log"),
+        (MeanPhiParams((0.25, 0.75), 0.1), dmn_loglik_phi, Method.PHI_FORM, "log"),
+        ((1.0, 2.0), dmn_loglik_lgamma, Method.LOG_GAMMA, "lgamma"),
+    ],
+)
+def test_nan_in_a_route_is_a_dmn_error(monkeypatch, params, evaluate, method, function):
+    """A NaN that reaches the merge of any route is an error, in the table
+    evaluator as in the per-row calls, never a value."""
+    fake = types.SimpleNamespace(**vars(math))
+    setattr(fake, function, lambda *args: math.nan)
+    monkeypatch.setattr(core, "math", fake)
+    rows = [(1, 2), (0, 3)]
+    with pytest.raises(DmnError, match="NaN"):
+        core._loglik_table(params, rows, method)
+    with pytest.raises(DmnError, match="NaN"):
+        evaluate(params, rows[0])
+    if method is not Method.LOG_GAMMA:
+        with pytest.raises(DmnError, match="NaN"):
+            dmn_loglik_rows(params, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +359,14 @@ class TestPhiForm:
     def test_observed_zero_probability_is_neg_inf(self):
         res = dmn_loglik_phi(MeanPhiParams((1.0, 0.0), 0.25), (1, 1))
         assert res.value == NEG_INF
+
+    def test_neg_inf_row_reports_the_terms_before_the_impossible_category(self):
+        mp = MeanPhiParams((0.5, 0.0, 0.5), 0.25)
+        res = dmn_loglik_phi(mp, (2, 1, 3))
+        assert (res.value, res.terms) == (NEG_INF, 2)
+        rows = dmn_loglik_rows(mp, [(2, 1, 3), (0, 4, 0), (7, 0, 1)])
+        assert [(r.value, r.terms) for r in rows[:2]] == [(NEG_INF, 2), (NEG_INF, 0)]
+        assert rows[2].terms == 16
 
     def test_unobserved_zero_probability_is_fine(self):
         res = dmn_loglik_phi(MeanPhiParams((1.0, 0.0), 0.25), (3, 0))

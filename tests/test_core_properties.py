@@ -12,6 +12,7 @@ from dmnll import (
     AlphaParams,
     CountVector,
     MeanPhiParams,
+    Method,
     dmn_log_pmf,
     dmn_loglik_exact,
     dmn_loglik_lgamma,
@@ -21,6 +22,7 @@ from dmnll import (
     mn_loglik_kernel,
     params_from_mean_phi,
 )
+from dmnll.core import _loglik_table
 from conftest import random_alpha, random_counts
 
 
@@ -240,3 +242,78 @@ def test_rows_match_per_row_calls_bitwise(case):
         assert [(r.value.hex(), r.terms, r.method) for r in batched] == [
             (r.value.hex(), r.terms, r.method) for r in expected
         ]
+
+
+#: alpha from the smallest subnormal up to where lgamma overflows a float
+#: (lgamma(x) does past about 2.5e305), and past it.
+extreme_alpha = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    st.sampled_from([5e-324, 1e-310, 1e-8, 0.5, 1.0, 3.0, 1e300, 2.5e305, 2.6e305, 1e308]),
+)
+#: counts near 2^63, where the O(K) route is the only one that runs
+extreme_count = st.one_of(
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([2**53 + 1, 2**62, 2**63 - 2, 2**63 - 1]),
+)
+
+
+@st.composite
+def lgamma_tables(draw):
+    """A count table with duplicate rows, zero columns and K = 1 among its
+    shapes, plus the alpha of the lgamma route."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(extreme_count, min_size=k, max_size=k)
+    pool = draw(st.lists(row, min_size=1, max_size=5))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=k - 1)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    rows = [[0 if j in zero_cols else pool[i][j] for j in range(k)] for i in picks]
+    return rows, draw(st.lists(extreme_alpha, min_size=k, max_size=k))
+
+
+def _outcome(evaluate):
+    """``evaluate()``'s (value bits, terms) per row, or its error's type and message."""
+    try:
+        return [(v.hex(), t) for v, t in evaluate()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _lgamma_formula(alpha, x):
+    """The lgamma route's formula as written out before the table route existed."""
+    lg = math.lgamma
+    a_sum = math.fsum(alpha)
+    parts = [lg(a_sum) - lg(a_sum + sum(x))]
+    parts += [lg(a_k + x_k) - lg(a_k) for a_k, x_k in zip(alpha, x)]
+    return math.fsum(parts)
+
+
+@given(case=lgamma_tables())
+# K = 1 with duplicate rows and an empty one
+@example(case=([[3], [0], [3]], [0.5]))
+# counts near 2^63 with a subnormal alpha
+@example(case=([[2**63 - 1, 0], [1, 2**62]], [5e-324, 1.0]))
+# lgamma overflows on one row only
+@example(case=([[0, 1], [5, 0]], [1.0, 2.6e305]))
+# lgamma overflows on the totals only
+@example(case=([[1, 1]], [2e305, 2e305]))
+@settings(max_examples=200, deadline=None)
+def test_lgamma_table_matches_per_row_calls_bitwise(case):
+    """The table evaluator's lgamma route returns, row for row, the per-row
+    call's value (same bits) and terms (2K + 2); where the per-row calls
+    fail, it fails with the same error."""
+    rows, alpha = case
+    per_row = []
+
+    def one_by_one():
+        for x in rows:
+            per_row.append(dmn_loglik_lgamma(alpha, x))
+        return [(r.value, r.terms) for r in per_row]
+
+    expected = _outcome(one_by_one)
+    assert _outcome(lambda: zip(*_loglik_table(alpha, rows, Method.LOG_GAMMA))) == expected
+    if isinstance(expected, tuple):
+        return
+    assert {r.method for r in per_row} == {Method.LOG_GAMMA}
+    assert {t for _, t in expected} == {2 * len(alpha) + 2}
+    # the per-row values are those of the formula, bit for bit
+    assert [r.value.hex() for r in per_row] == [_lgamma_formula(alpha, x).hex() for x in rows]

@@ -248,6 +248,15 @@ class TestFit:
         with pytest.raises(DomainError, match="alpha 5e-09 is below"):
             fit_alpha_mle(d, init=(1.0, ALPHA_FLOOR / 2))
 
+    def test_jump_off_the_floor_warns_nothing(self):
+        # alpha_2 jumps from the floor to about 3e307 in one step: its
+        # relative change overflows, which only says "not converged"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit_alpha_mle(Dataset([(1, 5), (3, 4)]), init=(1e308, 1e-8))
+        assert not result.converged
+        assert math.isfinite(result.loglik)
+
     def test_record_trace_off(self):
         result = fit_alpha_mle(Dataset([(1, 2), (2, 1)]), max_iter=5, record_trace=False)
         assert result.trace is None
