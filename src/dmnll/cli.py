@@ -1,10 +1,10 @@
 """Command-line front end: evaluate likelihoods, fit parameters, run benchmarks.
 
-Input count tables are CSV, one observation per row, integer cells, with an
-optional header row of category names; lines starting with ``#`` are
-ignored.  Results are printed as CSV or canonical JSON (``--format``), to
-stdout or ``--out``.  Exit codes: 0 success, 1 computation/domain error,
-2 usage or parse error.
+Input count tables are UTF-8 CSV, one observation per row, integer cells,
+with an optional header row of category names; lines starting with ``#``
+are ignored.  Results are printed as CSV or canonical JSON (``--format``),
+to stdout or ``--out``.  Exit codes: 0 success, 1 computation/domain error,
+2 usage, parse or I/O error.
 """
 
 from __future__ import annotations
@@ -152,14 +152,20 @@ def _to_int(cell: str) -> int:
 
 
 def _read_table(path: str) -> CountTable:
-    if path == "-":
-        return parse_count_table(sys.stdin.read(), source="<stdin>")
+    """The table at ``path`` (``-`` for stdin), read as strict UTF-8."""
+    source = "<stdin>" if path == "-" else path
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        text = data.decode("utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    return parse_count_table(text, source=path)
+        raise UsageError(f"cannot read {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{source} is not UTF-8: {exc}") from exc
+    return parse_count_table(text, source=source)
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -180,8 +186,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +225,6 @@ def _resolve_eval_params(args):
 def cmd_loglik(args) -> int:
     table = _read_table(args.table)
     params, method = _resolve_eval_params(args)
-    k = len(params)
-    if k != len(table.rows[0].counts):
-        raise DmnError(
-            f"parameters have {k} categories but the table has "
-            f"{len(table.rows[0].counts)} columns"
-        )
     values, terms = _loglik_table(params, table.rows, Method(method))
     rows = enumerate(zip(values, terms))
     total = math.fsum(values)

@@ -307,31 +307,23 @@ def _as_counts(x: CountsLike) -> CountVector:
     return x if isinstance(x, CountVector) else CountVector(x)
 
 
-def _check_lengths(k_params: int, x: CountVector) -> None:
+def _sized(k_params: int, x: CountsLike) -> CountVector:
+    """``x`` as a :class:`CountVector` with K = ``k_params`` categories."""
+    x = _as_counts(x)
     if k_params != len(x.counts):
         raise DimensionMismatchError(
             f"parameters have {k_params} categories, counts have {len(x.counts)}"
         )
-
-
-def _check_budget(x: CountVector) -> None:
-    if x.total > MAX_TOTAL_COUNT:
-        raise ResourceLimitError(
-            f"total count {x.total} exceeds the evaluator budget of {MAX_TOTAL_COUNT}"
-        )
-
-
-def _sized(k_params: int, x: CountsLike) -> CountVector:
-    """``x`` as a :class:`CountVector` with K = ``k_params`` categories."""
-    x = _as_counts(x)
-    _check_lengths(k_params, x)
     return x
 
 
 def _checked(k_params: int, x: CountsLike) -> CountVector:
     """``x`` as a :class:`CountVector` with K = ``k_params`` categories, within budget."""
     x = _sized(k_params, x)
-    _check_budget(x)
+    if x.total > MAX_TOTAL_COUNT:
+        raise ResourceLimitError(
+            f"total count {x.total} exceeds the evaluator budget of {MAX_TOTAL_COUNT}"
+        )
     return x
 
 
@@ -710,7 +702,7 @@ def log_multinomial_coef(x: CountsLike) -> float:
     log N! is sum_{i=2}^{N} log i, an arithmetic log sum starting at 2.
     """
     x = _as_counts(x)
-    _check_budget(x)
+    _checked(len(x.counts), x)
     s, c = _sum_logs(2.0, (x.total - 1,))[0]
     parts = [s, c]
     for x_k in x.counts:

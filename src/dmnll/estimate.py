@@ -26,7 +26,8 @@ aggregates observations into tail-count histograms laid end to end on one
 flat grid of count levels, sum_k max x_k + max N of them (at most 2^23),
 so one iteration costs a few array passes over that grid, not O(total
 count): a log per level for each of the two points' log-likelihoods, and
-two divisions per level for the sums both steps are made of.
+two divisions per level for the Newton step's first- and second-order
+sums.  The fixed point is read from the first-order ones.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .core import (
     ResourceLimitError,
     _as_alpha,
     _check_size,
+    _checked,
     _finite_fsum,
     _loglik_table,
     _states_by_level,
@@ -143,17 +145,8 @@ class FitResult:
     floored: tuple[int, ...] = ()
 
 
-def _check_k(alpha: AlphaParams, d: Dataset) -> None:
-    if len(alpha.alpha) != d.k:
-        raise DimensionMismatchError(
-            f"alpha has {len(alpha.alpha)} categories, dataset has {d.k}"
-        )
-
-
 def loglik_dataset(alpha: AlphaLike, d: Dataset) -> float:
     """Log-likelihood of i.i.d. observations: the sum of per-row kernels."""
-    alpha = _as_alpha(alpha)
-    _check_k(alpha, d)
     return math.fsum(_loglik_table(alpha, d.observations, Method.EXACT)[0])
 
 
@@ -167,11 +160,12 @@ def grad_loglik(alpha: AlphaLike, d: Dataset) -> np.ndarray:
     shared walk per category (and one for the totals), which gives every
     observation the value a walk of its own count alone would.  A component
     that overflows a float, as 1/alpha_k does for subnormal alpha_k, raises
-    :class:`DomainError`.
+    :class:`DomainError`.  Like :func:`loglik_dataset`, it walks each
+    category up to its largest count, so a row past ``MAX_TOTAL_COUNT`` is
+    a :class:`ResourceLimitError`.
     """
     alpha = _as_alpha(alpha)
-    _check_k(alpha, d)
-    obs = d.observations
+    obs = [_checked(len(alpha.alpha), x) for x in d.observations]
     num = [
         _states_by_level(col, _sum_recips, a_k)
         for a_k, col in zip(alpha.alpha, zip(*(x.counts for x in obs)))
@@ -193,9 +187,9 @@ class _TailCounts:
     holds the totals' tail counts, observations with N > i, negated.  So
     sum_obs [sum_{j < x_k} f(a_k + j) - sum_{i < N} f(A + i)] is the
     weighted sum of f over the grid ``at(alpha)``, whose entries are
-    alpha_k + j and A + i.  One iterate evaluates its log-likelihood, the
-    fixed-point step and the Newton step's sums from the same grid, each
-    one array pass over the levels.
+    alpha_k + j and A + i.  One iterate evaluates its log-likelihood and
+    the Newton step's sums from the same grid, each one array pass over the
+    levels; the fixed-point step reads the first-order sums.
     """
 
     def __init__(self, d: Dataset):
@@ -242,14 +236,14 @@ class _TailCounts:
         terms = np.abs(self.weights * np.log(grid))
         return _EPS * (5.0 * float(terms.sum()) + 0.5 * self.weight_sum)
 
-    def step(self, alpha: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """One fixed-point step from ``alpha``, whose grid is ``grid``."""
+    def step(self, alpha: np.ndarray, first: list[float]) -> tuple[np.ndarray, list[int]]:
+        """One fixed-point step from ``alpha``, given the first-order block
+        sums of :meth:`sums` at its grid: the Newton step's sums."""
         # negating the totals block's sum back is exact
-        sums = self._block_sums(self.weights / grid)
-        den = -sums.pop()
+        den = -first[-1]
         # A never-observed category has an empty block and a zero sum, so
         # it lands on the floor with the categories that fall below it.
-        new = alpha * np.array(sums) / den
+        new = alpha * np.array(first[:-1]) / den
         low = new < ALPHA_FLOOR
         new[low] = ALPHA_FLOOR
         return new, low.nonzero()[0].tolist()
@@ -258,8 +252,8 @@ class _TailCounts:
         """Per block, the weighted sums of 1/x and of 1/x^2 over ``grid``.
 
         Each list holds the K category blocks, then the totals block, whose
-        sums carry the negated weights.  The first list is the one
-        :meth:`step` forms.
+        sums carry the negated weights.  The first list is all
+        :meth:`step` reads; the Newton step reads both.
         """
         q = self.weights / grid
         return self._block_sums(q), self._block_sums(q / grid)
@@ -388,7 +382,8 @@ def fit_alpha_mle(
     floored: set[int] = set()
 
     for it in range(1, max_iter + 1):
-        new_alpha, pinned = stats.step(alpha, grid)
+        first, second = stats.sums(grid)
+        new_alpha, pinned = stats.step(alpha, first)
         new_grid = stats.at(new_alpha)
         new_ll = stats.loglik(new_grid)
         # A drop within the two values' rounding errors is no decrease.
@@ -398,7 +393,7 @@ def fit_alpha_mle(
             raise MonotonicityError(
                 f"log-likelihood decreased at iteration {it}: {ll!r} -> {new_ll!r}"
             )
-        point, point_pinned, curved = _newton(alpha, *stats.sums(grid))
+        point, point_pinned, curved = _newton(alpha, first, second)
         if point is not None:
             point_grid = stats.at(point)
             point_ll = stats.loglik(point_grid)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AlphaLike, _as_alpha, _as_simplex, _check_size
+from .core import _MAX_COUNT, AlphaLike, DomainError, _as_alpha, _as_simplex, _check_size
 from .estimate import Dataset
 
 __all__ = ["sample_dmn_dataset", "sample_mn_dataset"]
@@ -13,6 +13,9 @@ __all__ = ["sample_dmn_dataset", "sample_mn_dataset"]
 def _check_sizes(n_trials: int, n_obs: int) -> None:
     _check_size("n_trials", n_trials)
     _check_size("n_obs", n_obs)
+    # numpy draws counts as 64-bit integers
+    if n_trials > _MAX_COUNT:
+        raise DomainError(f"n_trials {n_trials} does not fit in 64 bits")
 
 
 def sample_dmn_dataset(
@@ -23,6 +26,9 @@ def sample_dmn_dataset(
     _check_sizes(n_trials, n_obs)
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(alpha.alpha, size=n_obs)
+    # numpy's normalization can round a probability just past 1, which its
+    # multinomial refuses
+    np.minimum(probs, 1.0, out=probs)
     counts = rng.multinomial(n_trials, probs)
     return Dataset(row for row in counts.tolist())
 

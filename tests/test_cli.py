@@ -167,6 +167,22 @@ class TestLoglik:
         assert code == 1
         assert "categories" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--alpha", "1,1"),
+            ("--alpha", "1,1", "--method", "lgamma"),
+            ("--p", "0.5,0.5", "--phi", "0.1"),
+        ],
+        ids=["exact", "lgamma", "phi"],
+    )
+    def test_dimension_mismatch_on_every_method(self, capsys, counts_file, flags):
+        path = counts_file("1,2,3\n4,5,6\n")
+        code, out, err = run_cli(capsys, "loglik", path, *flags)
+        assert code == 1
+        assert out == ""
+        assert err == "error: parameters have 2 categories, counts have 3\n"
+
     def test_json_roundtrip_is_byte_identical(self, capsys, counts_file):
         path = counts_file("a,b\n1,1\n4,2\n")
         code, out, _ = run_cli(
@@ -441,6 +457,77 @@ class TestBench:
     def test_unparseable_grid_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "accuracy", "--n", "1,x")
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# reading tables and writing --out
+# ---------------------------------------------------------------------------
+
+#: Each command's arguments, given a counts file.
+COMMANDS = {
+    "loglik": lambda table: ["loglik", table, "--alpha", "1,2"],
+    "fit": lambda table: ["fit", table],
+    "bench": lambda table: ["bench", "accuracy", "--n", "1,2"],
+}
+
+
+def run_dmnll(*argv, stdin=b""):
+    return subprocess.run(
+        [sys.executable, "-m", "dmnll", *argv], input=stdin, capture_output=True
+    )
+
+
+class TestInputOutput:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_writes_what_stdout_shows(self, capsys, counts_file, tmp_path, command):
+        argv = COMMANDS[command](counts_file("1,2\n3,1\n2,2\n"))
+        code, shown, _ = run_cli(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "result"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        written = target.read_text()
+        # bench rows carry timings, so compare the header and the row count
+        assert written.splitlines()[0] == shown.splitlines()[0]
+        assert len(written.splitlines()) == len(shown.splitlines())
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_out_is_one_usage_error(
+        self, capsys, counts_file, tmp_path, command, where
+    ):
+        argv = COMMANDS[command](counts_file("1,2\n3,1\n"))
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_table_file_not_utf8_is_one_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\xff1,2\n3,4\n")
+        code, out, err = run_cli(capsys, "loglik", str(path), "--alpha", "1,1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path} is not UTF-8: ")
+        assert len(err.splitlines()) == 1
+
+    def test_stdin_not_utf8_is_one_usage_error(self):
+        # the first data row must not be taken for a header
+        proc = run_dmnll("loglik", "-", "--alpha", "1,1", stdin=b"\xff1,2\n3,4\n")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: <stdin> is not UTF-8: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_stdin_reads_as_the_file_does(self, counts_file):
+        text = "a,b\n1,2\r\n3,4\n"
+        from_file = run_dmnll("loglik", counts_file(text), "--alpha", "1,1")
+        from_stdin = run_dmnll("loglik", "-", "--alpha", "1,1", stdin=text.encode())
+        assert from_file.returncode == from_stdin.returncode == 0
+        assert from_stdin.stdout == from_file.stdout
+        assert len(from_stdin.stdout.splitlines()) == 1 + 2 + 1
 
 
 def test_module_entry_point_exists():

@@ -16,6 +16,7 @@ from scipy import stats
 from dmnll import (
     AlphaParams,
     CountVector,
+    Dataset,
     DimensionMismatchError,
     DmnError,
     DomainError,
@@ -28,7 +29,9 @@ from dmnll import (
     dmn_loglik_lgamma,
     dmn_loglik_phi,
     dmn_loglik_rows,
+    grad_loglik,
     log_multinomial_coef,
+    loglik_dataset,
     mn_log_pmf,
     mn_loglik_kernel,
     params_from_mean_phi,
@@ -239,7 +242,14 @@ class TestExact:
 
 
 @pytest.mark.parametrize(
-    "evaluate", [dmn_loglik_exact, dmn_loglik_lgamma, dmn_log_pmf],
+    "evaluate",
+    [
+        dmn_loglik_exact,
+        dmn_loglik_lgamma,
+        dmn_log_pmf,
+        pytest.param(lambda mp, x: loglik_dataset(mp, Dataset([x])), id="loglik_dataset"),
+        pytest.param(lambda mp, x: grad_loglik(mp, Dataset([x])), id="grad_loglik"),
+    ],
     ids=lambda f: f.__name__,
 )
 def test_mean_phi_params_point_to_the_phi_form(evaluate):

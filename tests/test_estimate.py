@@ -87,6 +87,12 @@ class TestGradient:
         g = grad_loglik([1e-309, 5.0], Dataset([[0, 2]]))
         assert g.tolist() == [-(1 / 5 + 1 / 6), 0.0]
 
+    def test_total_over_the_budget_is_a_resource_limit(self):
+        # the walks are O(N): a total near 2^63 would never finish
+        d = Dataset([(1, 1), (2**63 - 1, 0)])
+        with pytest.raises(ResourceLimitError, match="exceeds the evaluator budget"):
+            grad_loglik((1.0, 1.0), d)
+
     def test_matches_finite_differences(self, rng):
         for _ in range(25):
             k = int(rng.integers(2, 6))

@@ -51,3 +51,17 @@ def test_numpy_integer_sizes_are_accepted(sample):
 def test_mean_phi_params_point_to_the_phi_form():
     with pytest.raises(DomainError, match="dmn_loglik_phi"):
         sample_dmn_dataset(MeanPhiParams((0.5, 0.5), 0.1), 3, 2, seed=1)
+
+
+@pytest.mark.parametrize("sample", [sample_dmn_dataset, sample_mn_dataset])
+def test_n_trials_past_64_bits_is_a_domain_error(sample):
+    d = sample((0.5, 0.5), 2**63 - 1, 2, seed=1)
+    assert [o.total for o in d.observations] == [2**63 - 1] * 2
+    with pytest.raises(DomainError, match=f"n_trials {2**63} does not fit in 64 bits"):
+        sample((0.5, 0.5), 2**63, 2, seed=1)
+
+
+def test_dirichlet_draw_rounded_past_one_is_accepted():
+    # numpy's Dirichlet draws (7.3e-309, 1.0000000000000002) here
+    d = sample_dmn_dataset((1.0, 9.373062675601641e307), 5, 1, seed=0)
+    assert d.observations[0].counts == (0, 5)
