@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -182,15 +183,25 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
         raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, mode: str = "w") -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
+            with open(out, mode, encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
             raise UsageError(f"cannot write {out}: {exc}") from exc
+
+
+def _check_writable(out: str) -> None:
+    """Fail as :func:`_emit` would, before a long run, if ``out`` cannot be
+    written.  An existing file is appended nothing, and a file this check
+    creates is removed again."""
+    existed = os.path.lexists(out)
+    _emit("", out, mode="a")
+    if not existed:
+        os.remove(out)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +325,9 @@ def cmd_bench(args) -> int:
     except DmnError as exc:
         # the grid and repeats came straight from the flags
         raise UsageError(str(exc)) from exc
+    if args.out is not None:
+        # the sweep takes seconds: find an unwritable --out before it
+        _check_writable(args.out)
     if args.experiment == "accuracy":
         records = bench.run_accuracy_experiment(cfg)
     else:
@@ -330,8 +344,17 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as one ``error:``
+    line, exit 2, as every other usage error is reported.  Its subcommand
+    parsers are of this class too."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dmnll",
         description=(
             "Dirichlet-multinomial log-likelihoods: exact sum-of-logs "

@@ -20,8 +20,12 @@ lgamma route evaluates each distinct count once in the same way.  The
 table and the per-row sum-of-logs evaluators read the parameters and pick
 the route in one place (``_route``) and merge a row's states in one place
 (``_merge``); they differ only in where the states come from, a row's own
-walks or lookups into the shared ones.  The per-row lgamma call takes its
-parts from the same helper (``_lgamma_ratio``) as the table's lgamma route.
+walks or lookups into the shared ones.  A route is one walk: the
+denominator log Gamma(A + N) - log Gamma(A) is the same rising-factorial
+log sum as each category's numerator, started at A, so its states are the
+route's own walk, negated (``_denominator``).  The per-row lgamma call
+takes its parts from the same helper (``_lgamma_ratio``) as the table's
+lgamma route.
 
 Numerical policy: every inner sum is accumulated in ascending index order
 with Neumaier compensation, and the per-category partial sums are merged
@@ -368,29 +372,22 @@ def _sum_terms(
     return states
 
 
-def _sum_logs(
-    start: float, levels: Iterable[int], step: float = 1.0
-) -> list[tuple[float, float]]:
-    """:func:`_sum_terms` of log(start + j*step) at each of ``levels``."""
-    return _sum_terms(math.log, start, step, levels)
-
-
-def _less_logs(
-    start: float, levels: Iterable[int], step: float = 1.0
-) -> list[tuple[float, float]]:
-    """:func:`_sum_logs` with each state negated: the denominator's part of a row."""
-    return [(-s, -c) for s, c in _sum_logs(start, levels, step)]
+def _sum_logs(start: float, levels: Iterable[int]) -> list[tuple[float, float]]:
+    """:func:`_sum_terms` of log(start + j) at each of ``levels``."""
+    return _sum_terms(math.log, start, 1.0, levels)
 
 
 def _sum_phi_logs(
-    p_k: float, levels: Iterable[int], phi: float
+    phi: float, p_k: float, levels: Iterable[int]
 ) -> list[tuple[float, float]]:
-    """:func:`_sum_logs` of log(p_k (1-phi) + j phi) at each of ``levels``.
+    """:func:`_sum_terms` of log(p_k (1-phi) + j phi) at each of ``levels``.
 
     ``p_k == 0`` (a zero-probability category) makes every level above 0
     ``(-inf, 0.0)``: the observed category is impossible.  When the product
     p_k (1-phi) is subnormal, or underflows to 0, it has lost precision, so
     the first term is log(p_k) + log1p(-phi) instead of the log of the product.
+    At p_k = 1 this is the denominator's walk, log((1-phi) + i phi).
+    ``phi`` comes first, so that ``partial(_sum_phi_logs, phi)`` is a walk.
     """
     if p_k == 0.0:
         return [(_NEG_INF, 0.0) if n > 0 else (0.0, 0.0) for n in levels]
@@ -399,6 +396,11 @@ def _sum_phi_logs(
         return _sum_terms(math.log, start, phi, levels)
     first = math.log(p_k) + math.log1p(-phi)
     return _sum_terms(math.log, start, phi, levels, first)
+
+
+#: The phi route's walk at phi = 0, the multinomial kernel's, built once
+#: rather than on every call of :func:`mn_loglik_kernel`.
+_MULTINOMIAL_WALK = partial(_sum_phi_logs, 0.0)
 
 
 def _lgamma_ratio(top: float, bottom: float) -> float:
@@ -420,12 +422,6 @@ def _lgamma_rises(a_k: float, levels: Iterable[int]) -> list[tuple[float]]:
     """lgamma(a_k + n) - lgamma(a_k), the closed form of :func:`_sum_logs`'s
     log sum, as a one-part state at each n in ``levels``."""
     return [(_lgamma_ratio(a_k + n, a_k),) for n in levels]
-
-
-def _lgamma_falls(a_sum: float, levels: Iterable[int]) -> list[tuple[float]]:
-    """lgamma(A) - lgamma(A + n), the denominator's negated closed form, at
-    each n in ``levels``."""
-    return [(_lgamma_ratio(a_sum, a_sum + n),) for n in levels]
 
 
 def _reciprocal(y: float) -> float:
@@ -453,27 +449,46 @@ def _states_by_level(column: Iterable[int], sums, *args) -> dict:
 
 
 def _route(params: AlphaLike | MeanPhiParams, method: Method):
-    """The walks that evaluate ``params`` by ``method``, and how rows are checked.
+    """The walk that evaluates ``params`` by ``method``, and how rows are checked.
 
-    The one place that tells the routes apart.  Returns ``(starts, walk,
-    den_start, den, check, terms)``: category k's states at ``levels`` are
-    ``walk(starts[k], levels)`` and the denominator's
-    ``den(den_start, levels)``, negated, so that a row's merge adds up
-    every state it reads; ``check(K, x)`` validates a row; ``terms`` is the
-    lgamma route's per-row cost, 2K + 2, or None on the sum-of-logs
-    routes, whose cost is the counts they read.  The phi route takes
-    :class:`MeanPhiParams`; the others take concentration parameters.
+    The one place that tells the routes apart.  A route is one walk.
+    Returns ``(starts, walk, den_start, check, terms)``: category k's
+    states at ``levels`` are ``walk(starts[k], levels)``, and the
+    denominator's are the same walk from ``den_start``, negated by
+    :func:`_denominator`, so that a row's merge adds up every state it
+    reads.  ``den_start`` is A, or 1.0 on the phi route, whose denominator
+    walks log((1-phi) + i phi), the walk of p_k = 1.  ``check(K, x)``
+    validates a row; ``terms`` is the lgamma route's per-row cost, 2K + 2,
+    or None on the sum-of-logs routes, whose cost is the counts they read.
+    The phi route takes :class:`MeanPhiParams`; the others take
+    concentration parameters.
     """
     if method is Method.PHI_FORM:
-        phi = params.phi
-        walk = partial(_sum_phi_logs, phi=phi)
-        return params.p, walk, 1.0 - phi, partial(_less_logs, step=phi), _checked, None
+        return params.p, partial(_sum_phi_logs, params.phi), 1.0, _checked, None
     alpha = _as_alpha(params)
     if method is Method.LOG_GAMMA:
         # O(K) per row: no budget on the counts
         terms = 2 * len(alpha.alpha) + 2
-        return alpha.alpha, _lgamma_rises, alpha.sum_a, _lgamma_falls, _sized, terms
-    return alpha.alpha, _sum_logs, alpha.sum_a, _less_logs, _checked, None
+        return alpha.alpha, _lgamma_rises, alpha.sum_a, _sized, terms
+    return alpha.alpha, _sum_logs, alpha.sum_a, _checked, None
+
+
+def _denominator(walk, den_start: float, levels: Iterable[int]) -> list[list[float]]:
+    """The denominator's states at ``levels``: ``walk(den_start, levels)``
+    with every part negated, which is exact.
+
+    Only walked states are negated: a ``-inf`` row's placeholder
+    (:data:`_NO_WALK`) is not, or its sum would be -inf + inf.
+    """
+    return [[-v for v in state] for state in walk(den_start, levels)]
+
+
+def _numerators(walk, starts: Sequence[float], counts: Sequence[int]) -> list[float]:
+    """A row's numerator parts: each category's state from a walk of its own."""
+    parts: list[float] = []
+    for start, x_k in zip(starts, counts):
+        parts += walk(start, (x_k,))[0]
+    return parts
 
 
 def _ended(starts: Sequence[float], x: CountVector) -> int | None:
@@ -508,15 +523,13 @@ def _merge(rows: Iterable[Iterable[float]]) -> list[float]:
 
 def _walk_row(params: AlphaLike | MeanPhiParams, x: CountsLike, method: Method) -> LogLikResult:
     """One row from walks of its own; a ``-inf`` row takes none."""
-    starts, walk, den_start, den, check, terms = _route(params, method)
+    starts, walk, den_start, check, terms = _route(params, method)
     x = check(len(starts), x)
     ended = _ended(starts, x)
     if ended is not None:
         return LogLikResult(_NEG_INF, method, ended)
-    parts: list[float] = []
-    for start, x_k in zip(starts, x.counts):
-        parts += walk(start, (x_k,))[0]
-    parts += den(den_start, (x.total,))[0]
+    parts = _numerators(walk, starts, x.counts)
+    parts += _denominator(walk, den_start, (x.total,))[0]
     (value,) = _merge([parts])
     return LogLikResult(value, method, 2 * x.total if terms is None else terms)
 
@@ -538,7 +551,7 @@ def _loglik_table(
     walk takes more logs (or lgamma calls) than the per-row calls.  Every
     row is checked, in order, before any pass starts.
     """
-    starts, walk, den_start, den, check, terms = _route(params, method)
+    starts, walk, den_start, check, terms = _route(params, method)
     checked = [check(len(starts), x) for x in rows]
     if not checked:
         return [], []
@@ -547,7 +560,7 @@ def _loglik_table(
         ended = {r: n for r, x in enumerate(checked) if (n := _ended(starts, x)) is not None}
     columns = [*zip(*(x.counts for x in checked)), [x.total for x in checked]]
     walks = [partial(walk, start) for start in starts]
-    walks.append(partial(den, den_start))
+    walks.append(partial(_denominator, walk, den_start))
     parts: list[tuple[float, ...]] = []  # one column per part of a state
     for walk_k, column in zip(walks, columns):
         live = [n for r, n in enumerate(column) if r not in ended] if ended else column
@@ -688,11 +701,8 @@ def mn_loglik_kernel(p: Sequence[float], x: CountsLike) -> float:
     x = _checked(len(probs), x)
     if _ended(probs, x) is not None:
         return _NEG_INF
-    parts: list[float] = []
-    for p_k, x_k in zip(probs, x.counts):
-        parts += _sum_phi_logs(p_k, (x_k,), 0.0)[0]
     # at phi = 0 every denominator term is log(1) = 0: its state adds nothing
-    (value,) = _merge([parts])
+    (value,) = _merge([_numerators(_MULTINOMIAL_WALK, probs, x.counts)])
     return value
 
 

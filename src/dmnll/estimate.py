@@ -133,8 +133,11 @@ class FitResult:
     ``loglik`` is the observation-level sum ``loglik_dataset(alpha_hat, d)``.
     ``trace`` holds (iteration, log-likelihood) pairs from the fitter's
     aggregated evaluation; its values are non-decreasing up to rounding.
-    ``floored`` lists the category indices that were pinned to
-    :data:`ALPHA_FLOOR` because no observation ever contained them.
+    ``floored`` lists the category indices that no observation ever
+    contained: once an iteration has run, they are pinned to
+    :data:`ALPHA_FLOOR`.  It is empty when no iteration ran
+    (``max_iter=0``).  An observed category whose alpha falls to the floor
+    is not listed.
     """
 
     alpha_hat: AlphaParams
@@ -236,17 +239,14 @@ class _TailCounts:
         terms = np.abs(self.weights * np.log(grid))
         return _EPS * (5.0 * float(terms.sum()) + 0.5 * self.weight_sum)
 
-    def step(self, alpha: np.ndarray, first: list[float]) -> tuple[np.ndarray, list[int]]:
+    def step(self, alpha: np.ndarray, first: list[float]) -> np.ndarray:
         """One fixed-point step from ``alpha``, given the first-order block
         sums of :meth:`sums` at its grid: the Newton step's sums."""
         # negating the totals block's sum back is exact
         den = -first[-1]
         # A never-observed category has an empty block and a zero sum, so
         # it lands on the floor with the categories that fall below it.
-        new = alpha * np.array(first[:-1]) / den
-        low = new < ALPHA_FLOOR
-        new[low] = ALPHA_FLOOR
-        return new, low.nonzero()[0].tolist()
+        return np.maximum(alpha * np.array(first[:-1]) / den, ALPHA_FLOOR)
 
     def sums(self, grid: np.ndarray) -> tuple[list[float], list[float]]:
         """Per block, the weighted sums of 1/x and of 1/x^2 over ``grid``.
@@ -280,7 +280,7 @@ def _default_init(stats: _TailCounts, k: int) -> np.ndarray:
 
 def _newton(
     alpha: np.ndarray, first: list[float], second: list[float]
-) -> tuple[np.ndarray | None, list[int], bool]:
+) -> tuple[np.ndarray | None, bool]:
     """The Newton point from ``alpha``, given the block sums at its grid.
 
     ``first`` and ``second`` are the block sums of :meth:`_TailCounts.sums`.
@@ -290,10 +290,10 @@ def _newton(
     b = z sum(g/q) / (1 + z sum 1/q).  A never-observed category has empty
     blocks and q_k = 0; it stays out of the solve and on the floor.
 
-    Returns the point, the categories it pins to the floor, and whether the
-    Hessian is clearly negative definite (the denominator above
-    :data:`_CURVED`).  The point is None when the Hessian is not, or when
-    the point is not finite or falls below :data:`ALPHA_FLOOR`.
+    Returns the point and whether the Hessian is clearly negative definite
+    (the denominator above :data:`_CURVED`).  The point is None when the
+    Hessian is not, or when the point is not finite or falls below
+    :data:`ALPHA_FLOOR`.
     """
     s1 = np.array(first[:-1])
     seen = s1 > 0.0
@@ -306,12 +306,12 @@ def _newton(
         denom = 1.0 + z * np.sum(1.0 / q)
         curved = bool(denom > _CURVED)
         if not curved:
-            return None, [], False
+            return None, False
         point = np.full_like(alpha, ALPHA_FLOOR)
         point[seen] = alpha[seen] - (g - z * np.sum(g / q) / denom) / q
         if not (point.min() >= ALPHA_FLOOR and np.isfinite(point.sum())):
-            return None, [], True
-    return point, (~seen).nonzero()[0].tolist(), True
+            return None, True
+    return point, True
 
 
 def fit_alpha_mle(
@@ -379,11 +379,10 @@ def fit_alpha_mle(
     trace = [(0, ll)] if record_trace else None
     converged = False
     iterations = 0
-    floored: set[int] = set()
 
     for it in range(1, max_iter + 1):
         first, second = stats.sums(grid)
-        new_alpha, pinned = stats.step(alpha, first)
+        new_alpha = stats.step(alpha, first)
         new_grid = stats.at(new_alpha)
         new_ll = stats.loglik(new_grid)
         # A drop within the two values' rounding errors is no decrease.
@@ -393,13 +392,12 @@ def fit_alpha_mle(
             raise MonotonicityError(
                 f"log-likelihood decreased at iteration {it}: {ll!r} -> {new_ll!r}"
             )
-        point, point_pinned, curved = _newton(alpha, first, second)
+        point, curved = _newton(alpha, first, second)
         if point is not None:
             point_grid = stats.at(point)
             point_ll = stats.loglik(point_grid)
             if point_ll >= new_ll:
                 new_alpha, new_grid, new_ll = point, point_grid, point_ll
-                pinned = point_pinned
         # a jump off the floor can overflow the ratio: inf is "not converged"
         with np.errstate(over="ignore"):
             rel_change = float((np.abs(new_alpha - alpha) / alpha).max())
@@ -407,7 +405,6 @@ def fit_alpha_mle(
         grid = new_grid
         ll = new_ll
         iterations = it
-        floored.update(pinned)
         if record_trace:
             trace.append((it, ll))
         # A small step toward a limit at infinity certifies nothing: there
@@ -417,11 +414,13 @@ def fit_alpha_mle(
             break
 
     alpha_hat = AlphaParams(alpha)
+    # every iterate has the never-observed categories on the floor
+    floored = np.flatnonzero(stats.pooled == 0).tolist() if iterations else []
     return FitResult(
         alpha_hat=alpha_hat,
         loglik=loglik_dataset(alpha_hat, d),
         iterations=iterations,
         converged=converged,
         trace=tuple(trace) if record_trace else None,
-        floored=tuple(sorted(floored)),
+        floored=tuple(floored),
     )

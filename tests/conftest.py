@@ -67,19 +67,13 @@ class OldTailCounts:
         a_sum = math.fsum(alpha)
         den = float(np.sum(self.totals / (a_sum + np.arange(self.totals.size))))
         new = np.empty_like(alpha)
-        pinned = []
         for k, tail in enumerate(self.per_category):
             if tail.size == 0:
                 new[k] = ALPHA_FLOOR
-                pinned.append(k)
                 continue
             num = float(np.sum(tail / (alpha[k] + np.arange(tail.size))))
-            cand = alpha[k] * num / den
-            if cand < ALPHA_FLOOR:
-                cand = ALPHA_FLOOR
-                pinned.append(k)
-            new[k] = cand
-        return new, pinned
+            new[k] = max(alpha[k] * num / den, ALPHA_FLOOR)
+        return new
 
     def sums(self, alpha):
         a_sum = math.fsum(alpha)

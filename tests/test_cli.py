@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 from dmnll import (
+    DomainError,
     MeanPhiParams,
     core,
     dmn_loglik_exact,
@@ -390,6 +391,20 @@ class TestFit:
         monkeypatch.setattr(estimate, "_TailCounts", OldTailCounts)
         assert run_cli(capsys, *argv) == (0, out, "")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_observed_category_near_the_floor_is_not_floored(self, capsys, counts_file, fmt):
+        # column 1 is observed once; its alpha_hat is about 2.4e-5, off the floor
+        path = counts_file("5,0,0\n" * 8 + "0,1,0\n0,0,0\n")
+        code, out, err = run_cli(
+            capsys, "fit", path, "--alpha", "1e-8,1e-8,1e-8", "--max-iter", "50",
+            "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert json.loads(out)["floored"] == [2]
+        else:
+            assert "\nfloored,2\n" in out
+
     def test_jump_off_the_floor_prints_no_warning(self, capsys, counts_file):
         path = counts_file("1,5\n3,4\n")
         with warnings.catch_warnings():
@@ -457,6 +472,37 @@ class TestBench:
     def test_unparseable_grid_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "accuracy", "--n", "1,x")
         assert code == 2
+
+    @pytest.mark.parametrize("experiment", ["accuracy", "runtime"])
+    def test_unwritable_out_fails_before_the_sweep(
+        self, capsys, tmp_path, monkeypatch, experiment
+    ):
+        from dmnll import bench
+
+        def no_sweep(cfg):
+            raise AssertionError("ran the sweep")
+
+        monkeypatch.setattr(bench, f"run_{experiment}_experiment", no_sweep)
+        target = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(capsys, "bench", experiment, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_writable_out_is_left_alone_until_written(self, capsys, tmp_path, monkeypatch):
+        from dmnll import bench
+
+        def failing_sweep(cfg):
+            raise DomainError("the sweep failed")
+
+        monkeypatch.setattr(bench, "run_accuracy_experiment", failing_sweep)
+        existing, fresh = tmp_path / "existing.csv", tmp_path / "fresh.csv"
+        existing.write_text("kept\n")
+        for target in (existing, fresh):
+            code, out, err = run_cli(capsys, "bench", "accuracy", "--out", str(target))
+            assert (code, out, err) == (1, "", "error: the sweep failed\n")
+        assert existing.read_text() == "kept\n"
+        assert not fresh.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +574,34 @@ class TestInputOutput:
         assert from_file.returncode == from_stdin.returncode == 0
         assert from_stdin.stdout == from_file.stdout
         assert len(from_stdin.stdout.splitlines()) == 1 + 2 + 1
+
+
+#: Command lines argparse itself refuses, on each subcommand and on none.
+BAD_COMMAND_LINES = [
+    [],
+    ["nosuch"],
+    ["loglik", "t.csv", "--phi", "abc"],
+    ["loglik", "t.csv", "--format", "xml"],
+    ["loglik", "t.csv", "--bogus"],
+    ["loglik"],
+    ["fit", "t.csv", "--max-iter", "x"],
+    ["fit", "t.csv", "--tol"],
+    ["fit", "t.csv", "--format", "xml"],
+    ["bench", "speed"],
+    ["bench", "runtime", "--repeats", "x"],
+    ["bench", "accuracy", "--n", "-1,2"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_COMMAND_LINES, ids=lambda argv: " ".join(argv) or "none")
+def test_argparse_error_is_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_module_entry_point_exists():

@@ -1,9 +1,10 @@
-"""Fuzz tests of ``dmnll loglik`` and ``dmnll fit``: odd tables and extreme
-parameters never break the contract.
+"""Fuzz tests of ``dmnll loglik``, ``dmnll fit`` and ``dmnll bench``: odd
+tables, extreme parameters and odd grids never break the contract.
 
 Whatever the input, a command exits 0, 1 or 2. A failure prints one
 ``error:`` line on stderr and nothing on stdout; a success prints no NaN,
-and ``loglik`` prints one output row per input data row.
+``loglik`` prints one output row per input data row, and ``bench`` two
+records per grid point.
 """
 
 import contextlib
@@ -191,3 +192,50 @@ def test_fit_keeps_its_contract(table_path, case):
         return
     assert err == ""
     assert "nan" not in out.lower()
+
+
+#: ``--n`` items: small multipliers (drawn twice as often, so that many grids
+#: reach the sweep), and counts too large for a walk or for 64 bits. Mid-size
+#: n is left out: the reference walks n * K terms in mpmath.
+N_ITEMS = st.one_of(
+    st.integers(0, 20).map(str),
+    st.integers(0, 20).map(str),
+    st.sampled_from(["-1", "-5", "", " ", "x", "1.5", "0x2", str(2**62), str(2**63), str(10**30)]),
+)
+
+
+@given(
+    experiment=st.sampled_from(["accuracy", "runtime"]),
+    n=st.lists(N_ITEMS, min_size=1, max_size=4).map(",".join),
+    n_as_one_arg=st.booleans(),
+    repeats=st.sampled_from(["3", "3", "4", "2", "x", "-3", ""]),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_bench_keeps_its_contract(experiment, n, n_as_one_arg, repeats, fmt):
+    # ``--n=-1,2`` reaches the program; ``--n -1,2`` is refused by argparse.
+    # A default grid or --repeats would make each runtime sweep take seconds.
+    n_flag = [f"--n={n}"] if n_as_one_arg else ["--n", n]
+    argv = ["bench", experiment, *n_flag, f"--repeats={repeats}", "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refused the command line
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        return
+    assert err == ""
+    assert "nan" not in out.lower()
+    grid = n.split(",")
+    if fmt == "json":
+        assert len(json.loads(out)["records"]) == 2 * len(grid)
+    else:
+        assert len(out.splitlines()) == 1 + 2 * len(grid)

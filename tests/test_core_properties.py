@@ -2,6 +2,7 @@
 
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -242,6 +243,73 @@ def test_rows_match_per_row_calls_bitwise(case):
         assert [(r.value.hex(), r.terms, r.method) for r in batched] == [
             (r.value.hex(), r.terms, r.method) for r in expected
         ]
+
+
+def _neumaier(terms):
+    """The compensated sum of ``terms`` in order, as (sum, compensation)."""
+    s = c = 0.0
+    for t in terms:
+        total = s + t
+        if abs(s) >= abs(t):
+            c += (s - total) + t
+        else:
+            c += (t - total) + s
+        s = total
+    return s, c
+
+
+def _sum_of_logs_formula(alpha, x):
+    """The exact route written out straight: each category's log sum and the
+    denominator's, each in ascending order with Neumaier compensation,
+    merged by ``fsum``."""
+    a_sum = math.fsum(alpha)
+    parts = []
+    for a_k, x_k in zip(alpha, x):
+        parts += _neumaier(math.log(a_k + j) for j in range(x_k))
+    s, c = _neumaier(math.log(a_sum + i) for i in range(sum(x)))
+    return math.fsum([*parts, -s, -c])
+
+
+def _phi_formula(p, phi, x):
+    """The phi route written out straight, as :func:`_sum_of_logs_formula`:
+    terms log(p_k (1-phi) + j phi) over log((1-phi) + i phi).  An observed
+    p_k = 0 makes the row -inf."""
+    if any(p_k == 0.0 and x_k for p_k, x_k in zip(p, x)):
+        return -math.inf
+    parts = []
+    for p_k, x_k in zip(p, x):
+        parts += _neumaier(_phi_term(p_k, phi, j) for j in range(x_k))
+    s, c = _neumaier(math.log((1.0 - phi) + i * phi) for i in range(sum(x)))
+    return math.fsum([*parts, -s, -c])
+
+
+def _phi_term(p_k, phi, j):
+    """log(p_k (1-phi) + j phi); where p_k (1-phi) is subnormal or 0, the
+    first term is log(p_k) + log1p(-phi)."""
+    start = p_k * (1.0 - phi)
+    if j == 0 and start < sys.float_info.min:
+        return math.log(p_k) + math.log1p(-phi)
+    return math.log(start + j * phi)
+
+
+@given(case=tables_with_params())
+@example(case=([[3], [0], [3]], [0.5], [1], 0.0))
+@example(case=([[0, 2, 1], [4, 0, 0], [0, 0, 0], [4, 0, 0]], [1.0, 2.0, 3.0], [1, 0, 2], 0.3))
+@example(case=([[1, 0], [2, 3], [0, 4], [1, 0]], [1.0, 2.0], [5e-324, 1.0], 0.5))
+@example(case=([[2, 2], [1, 0]], [1.5, 1.5], [1e-310, 1.0], 0.0))
+@settings(max_examples=150, deadline=None)
+def test_sum_of_logs_routes_match_the_written_out_formulas_bitwise(case):
+    """The exact and phi evaluators, per row and per table, return the
+    written-out formulas' values, bit for bit, phi = 0 included."""
+    rows, alpha, weights, phi = case
+    p = [w / sum(weights) for w in weights]
+    mp = MeanPhiParams(p, phi)
+    exact = [_sum_of_logs_formula(alpha, x).hex() for x in rows]
+    assert [dmn_loglik_exact(alpha, x).value.hex() for x in rows] == exact
+    assert [r.value.hex() for r in dmn_loglik_rows(alpha, rows)] == exact
+    by_phi = [_phi_formula(mp.p, phi, x).hex() for x in rows]
+    assert [dmn_loglik_phi(mp, x).value.hex() for x in rows] == by_phi
+    assert [r.value.hex() for r in dmn_loglik_rows(mp, rows)] == by_phi
 
 
 #: alpha from the smallest subnormal up to where lgamma overflows a float

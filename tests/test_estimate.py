@@ -222,6 +222,14 @@ class TestFit:
         assert result.floored == (1,)
         assert result.alpha_hat.alpha[1] == ALPHA_FLOOR
 
+    def test_observed_category_near_the_floor_is_not_floored(self):
+        # column 1 is observed once; its alpha_hat is about 2.4e-5, off the floor
+        d = Dataset([(5, 0, 0)] * 8 + [(0, 1, 0), (0, 0, 0)])
+        result = fit_alpha_mle(d, init=(1e-8, 1e-8, 1e-8), max_iter=50)
+        assert result.floored == (2,)
+        assert result.alpha_hat.alpha[1] > ALPHA_FLOOR
+        assert result.alpha_hat.alpha[2] == ALPHA_FLOOR
+
     def test_mn_data_drives_total_concentration_up(self):
         # Multinomial data is the phi=0 regime, so the fitted total
         # concentration should climb toward infinity from the start.
@@ -281,8 +289,7 @@ class TestFit:
         step = estimate._TailCounts.step
 
         def worse(self, alpha, grid):
-            new, pinned = step(self, alpha, grid)
-            return new * np.array([2.0, 1.0, 1.0]), pinned
+            return step(self, alpha, grid) * np.array([2.0, 1.0, 1.0])
 
         monkeypatch.setattr(estimate._TailCounts, "step", worse)
         with pytest.raises(MonotonicityError, match="at iteration 1:"):
@@ -385,3 +392,5 @@ def test_fit_matches_per_category_histograms_bitwise(case):
     finally:
         estimate._TailCounts = real
     assert _fit_fields(new) == _fit_fields(old)
+    unobserved = tuple(k for k, column in enumerate(zip(*rows)) if not any(column))
+    assert new.floored == (unobserved if max_iter > 0 else ())
