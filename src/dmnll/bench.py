@@ -129,7 +129,9 @@ class ExperimentConfig:
 
     ``repeats`` and ``evaluations_per_point`` govern only the runtime
     sweep; the accuracy sweep evaluates each grid point once, but they are
-    validated for both.
+    validated for both.  So are the counts of the largest grid point: they
+    must fit in 64 bits and within the evaluators' budget, so that no sweep
+    fails after it has run the points below it.
     """
 
     base_counts: CountVector
@@ -175,6 +177,7 @@ class ExperimentConfig:
         object.__setattr__(self, "n_values", grid)
         object.__setattr__(self, "repeats", int(repeats))
         object.__setattr__(self, "evaluations_per_point", int(evaluations_per_point))
+        _checked(len(base.counts), self.counts_at(grid[-1]))
 
     def alpha(self) -> AlphaParams:
         return params_from_mean_phi(MeanPhiParams(self.p, self.phi))

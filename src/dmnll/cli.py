@@ -169,18 +169,13 @@ def _read_table(path: str) -> CountTable:
     return parse_count_table(text, source=source)
 
 
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+def _parse_numbers(text: str, flag: str, kind: type = float) -> tuple:
+    """The comma-separated values of ``flag``, each read by ``kind`` (float or int)."""
     try:
-        return tuple(float(v) for v in text.split(","))
+        return tuple(map(kind, text.split(",")))
     except ValueError as exc:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
-
-
-def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from exc
+        noun = "integers" if kind is int else "numbers"
+        raise UsageError(f"{flag} expects comma-separated {noun}, got {text!r}") from exc
 
 
 def _emit(text: str, out: str | None, mode: str = "w") -> None:
@@ -225,11 +220,11 @@ def _resolve_eval_params(args):
     if method == "phi":
         if not has_p:
             raise UsageError("--method phi needs --p and --phi, not --alpha")
-        return MeanPhiParams(_parse_floats(args.p, "--p"), args.phi), method
+        return MeanPhiParams(_parse_numbers(args.p, "--p"), args.phi), method
     if has_alpha:
-        return AlphaParams(_parse_floats(args.alpha, "--alpha")), method
+        return AlphaParams(_parse_numbers(args.alpha, "--alpha")), method
     # alpha-based method requested through (p, phi); fails loudly at phi = 0
-    mp = MeanPhiParams(_parse_floats(args.p, "--p"), args.phi)
+    mp = MeanPhiParams(_parse_numbers(args.p, "--p"), args.phi)
     return params_from_mean_phi(mp), method
 
 
@@ -271,7 +266,7 @@ def cmd_fit(args) -> int:
         )
     init = None
     if args.alpha is not None:
-        init = AlphaParams(_parse_floats(args.alpha, "--alpha"))
+        init = AlphaParams(_parse_numbers(args.alpha, "--alpha"))
     result = fit_alpha_mle(
         Dataset(table.rows), init=init, max_iter=args.max_iter, tol=args.tol
     )
@@ -312,30 +307,25 @@ def cmd_fit(args) -> int:
 def cmd_bench(args) -> int:
     from . import bench  # imports mpmath, which only this command needs
 
+    # looked up on the module now, so that a rebound name takes effect
+    defaults = getattr(bench, f"{args.experiment}_defaults")
+    sweep = getattr(bench, f"run_{args.experiment}_experiment")
     kwargs = {}
     if args.n is not None:
-        kwargs["n_values"] = _parse_ints(args.n, "--n")
+        kwargs["n_values"] = _parse_numbers(args.n, "--n", int)
     if args.repeats is not None:
         kwargs["repeats"] = args.repeats
     try:
-        if args.experiment == "accuracy":
-            cfg = bench.accuracy_defaults(**kwargs)
-        else:
-            cfg = bench.runtime_defaults(**kwargs)
+        cfg = defaults(**kwargs)
     except DmnError as exc:
         # the grid and repeats came straight from the flags
         raise UsageError(str(exc)) from exc
     if args.out is not None:
         # the sweep takes seconds: find an unwritable --out before it
         _check_writable(args.out)
-    if args.experiment == "accuracy":
-        records = bench.run_accuracy_experiment(cfg)
-    else:
-        records = bench.run_runtime_experiment(cfg)
-    if args.format == "json":
-        _emit(bench.records_to_json(records), args.out)
-    else:
-        _emit(bench.records_to_csv(records), args.out)
+    records = sweep(cfg)
+    serialize = bench.records_to_json if args.format == "json" else bench.records_to_csv
+    _emit(serialize(records), args.out)
     return EXIT_OK
 
 

@@ -16,7 +16,12 @@ phi = 0, where the distribution degenerates to the plain multinomial.
 With the parameters fixed, every row of a table walks a prefix of the same
 log sequence, so :func:`dmn_loglik_rows` evaluates a whole table from one
 shared walk per category, bit for bit equal to the per-row calls; the
-lgamma route evaluates each distinct count once in the same way.  The
+lgamma route evaluates each distinct count once in the same way.  That
+column pass exists once (``_column_states``): it walks each column, the
+K count columns and then the totals, over its distinct counts, and yields
+every row's state in it.  The table evaluator zips its K + 1 columns of
+states into rows and merges each row's states; the gradient in
+``dmnll.estimate`` reads its reciprocal sums from the same pass.  The
 table and the per-row sum-of-logs evaluators read the parameters and pick
 the route in one place (``_route``) and merge a row's states in one place
 (``_merge``); they differ only in where the states come from, a row's own
@@ -43,8 +48,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import repeat
-from typing import Iterable, Sequence, Union
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "MAX_TOTAL_COUNT",
@@ -424,23 +429,33 @@ def _lgamma_rises(a_k: float, levels: Iterable[int]) -> list[tuple[float]]:
     return [(_lgamma_ratio(a_k + n, a_k),) for n in levels]
 
 
-def _reciprocal(y: float) -> float:
-    return 1.0 / y
-
-
 def _sum_recips(start: float, levels: Iterable[int]) -> list[float]:
     """Compensated sums of 1/(start + j) for j < n, for each n in ``levels``."""
-    return [s + c for s, c in _sum_terms(_reciprocal, start, 1.0, levels)]
+    return [s + c for s, c in _sum_terms((1.0).__truediv__, start, 1.0, levels)]
 
 
-def _states_by_level(column: Iterable[int], sums, *args) -> dict:
-    """``sums(*args, levels)`` over the distinct counts of ``column``, keyed by count.
+#: The state a ``-inf`` row reads where no walk covers it.
+_NO_WALK = (_NEG_INF, 0.0)
 
-    One walk per column serves every row: a row with count n looks up the
-    state a walk of n terms alone would return.
+
+def _column_states(walks, columns: Sequence[Sequence[int]], skip=()) -> Iterator:
+    """Every row's state in each column, from one walk per column.
+
+    The one column pass of the package.  ``columns`` are a table's K count
+    columns, then its totals, and ``walks`` one walk for each:
+    ``walk(levels)`` returns the state at each of the ascending ``levels``.
+    Each column is walked once, over its distinct counts, and yields an
+    iterator of every row's state in row order: a row with count n reads
+    the state a walk of n terms alone would return, so a row merged from
+    its K + 1 states is bit for bit the row a per-row call evaluates.  Rows
+    in ``skip`` are left out of every walk; where no walk covers a skipped
+    row's count, it reads :data:`_NO_WALK`.
     """
-    levels = sorted(set(column))
-    return dict(zip(levels, sums(*args, levels)))
+    for walk, column in zip(walks, columns):
+        live = [n for r, n in enumerate(column) if r not in skip] if skip else column
+        levels = sorted(set(live))
+        states = dict(zip(levels, walk(levels)))
+        yield map(states.get, column, repeat(_NO_WALK))
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +526,10 @@ def _ended(starts: Sequence[float], x: CountVector) -> int | None:
 def _merge(rows: Iterable[Iterable[float]]) -> list[float]:
     """Each row's value: the ``math.fsum`` of its parts.
 
-    A row's parts are its K + 1 states in order, the categories' numerators
-    and then the negated denominator.  This is the one NaN check the
-    evaluators make on their way to plain floats.
+    A row's parts are its states' parts in order: on an evaluator's route,
+    its K + 1 states, the categories' numerators and then the negated
+    denominator.  This is the one NaN check the evaluators make on their
+    way to plain floats.
     """
     values = list(map(math.fsum, rows))
     if any(map(math.isnan, values)):
@@ -534,20 +550,17 @@ def _walk_row(params: AlphaLike | MeanPhiParams, x: CountsLike, method: Method) 
     return LogLikResult(value, method, 2 * x.total if terms is None else terms)
 
 
-#: The state a ``-inf`` row reads where no walk covers it.
-_NO_WALK = (_NEG_INF, 0.0)
-
-
 def _loglik_table(
     params: AlphaLike | MeanPhiParams, rows: Iterable[CountsLike], method: Method
 ) -> tuple[list[float], list[int]]:
     """Every row's value and terms, as plain floats and ints, from shared passes.
 
     Row r's are those of the per-row evaluator of ``method`` on ``rows[r]``,
-    bit for bit.  Each category is walked once, up to its largest count, and
-    the denominator once, up to the largest total, recording the state at
-    each distinct count; each row then merges its K + 1 states as the
-    per-row call does.  A ``-inf`` row is left out of every walk, so no
+    bit for bit.  :func:`_column_states` walks each category once, up to
+    its largest count, and the denominator once, up to the largest total.
+    Its K + 1 columns of states are zipped into rows once, and each row's
+    states, flattened into one list of parts, are merged as the per-row
+    call merges them.  A ``-inf`` row is left out of every walk, so no
     walk takes more logs (or lgamma calls) than the per-row calls.  Every
     row is checked, in order, before any pass starts.
     """
@@ -561,12 +574,8 @@ def _loglik_table(
     columns = [*zip(*(x.counts for x in checked)), [x.total for x in checked]]
     walks = [partial(walk, start) for start in starts]
     walks.append(partial(_denominator, walk, den_start))
-    parts: list[tuple[float, ...]] = []  # one column per part of a state
-    for walk_k, column in zip(walks, columns):
-        live = [n for r, n in enumerate(column) if r not in ended] if ended else column
-        states = _states_by_level(live, walk_k)
-        parts += zip(*map(states.get, column, repeat(_NO_WALK)))
-    values = _merge(zip(*parts))
+    states = zip(*_column_states(walks, columns, ended))
+    values = _merge(map(chain.from_iterable, states))
     costs = [terms] * len(checked) if terms is not None else [2 * n for n in columns[-1]]
     for r, n in ended.items():
         costs[r] = n
@@ -709,17 +718,21 @@ def mn_loglik_kernel(p: Sequence[float], x: CountsLike) -> float:
 def log_multinomial_coef(x: CountsLike) -> float:
     """log(N! / prod_k x_k!) by the same ascending sum-of-logs scheme.
 
-    log N! is sum_{i=2}^{N} log i, an arithmetic log sum starting at 2.
+    log n! is sum_{j<n} log(1 + j), the exact route's walk at a = 1; its
+    first term, log 1, adds an exact zero.  N and every x_k read one walk,
+    up to N, whose states :func:`_denominator` negates: each x_k! is
+    subtracted as a denominator is, and N!'s state is negated back, which
+    is exact.
     """
     x = _as_counts(x)
     _checked(len(x.counts), x)
-    s, c = _sum_logs(2.0, (x.total - 1,))[0]
-    parts = [s, c]
+    levels = sorted({x.total, *x.counts})
+    states = dict(zip(levels, _denominator(_sum_logs, 1.0, levels)))
+    parts = [-v for v in states[x.total]]
     for x_k in x.counts:
-        s, c = _sum_logs(2.0, (x_k - 1,))[0]
-        parts.append(-s)
-        parts.append(-c)
-    return math.fsum(parts)
+        parts += states[x_k]
+    (value,) = _merge([parts])
+    return value
 
 
 def dmn_log_pmf(alpha: AlphaLike, x: CountsLike) -> float:

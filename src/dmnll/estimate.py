@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,9 +52,9 @@ from .core import (
     _as_alpha,
     _check_size,
     _checked,
+    _column_states,
     _finite_fsum,
     _loglik_table,
-    _states_by_level,
     _sum_recips,
     dmn_loglik_exact,  # noqa: F401  perfbench/spans.py rebinds this name here
 )
@@ -159,9 +160,12 @@ def grad_loglik(alpha: AlphaLike, d: Dataset) -> np.ndarray:
     Component k is sum_obs [sum_{j < x_k} 1/(alpha_k + j) -
     sum_{i < N} 1/(A + i)]; empty sums are zero.  Per-observation terms are
     accumulated with compensated summation and merged in observation order,
-    so the result is deterministic.  Each reciprocal sum is read from one
-    shared walk per category (and one for the totals), which gives every
-    observation the value a walk of its own count alone would.  A component
+    so the result is deterministic.  The reciprocal sums come from the
+    table evaluator's column pass (``core._column_states``): one walk per
+    category and one for the totals, which gives every observation the
+    value a walk of its own count alone would.  Each observation's totals
+    sum is subtracted from its sum in every category column, in row order,
+    and each component merges its column of differences.  A component
     that overflows a float, as 1/alpha_k does for subnormal alpha_k, raises
     :class:`DomainError`.  Like :func:`loglik_dataset`, it walks each
     category up to its largest count, so a row past ``MAX_TOTAL_COUNT`` is
@@ -169,16 +173,10 @@ def grad_loglik(alpha: AlphaLike, d: Dataset) -> np.ndarray:
     """
     alpha = _as_alpha(alpha)
     obs = [_checked(len(alpha.alpha), x) for x in d.observations]
-    num = [
-        _states_by_level(col, _sum_recips, a_k)
-        for a_k, col in zip(alpha.alpha, zip(*(x.counts for x in obs)))
-    ]
-    den = _states_by_level((x.total for x in obs), _sum_recips, alpha.sum_a)
-    parts: list[list[float]] = [[] for _ in range(d.k)]
-    for x in obs:
-        den_x = den[x.total]
-        for part, sums, x_k in zip(parts, num, x.counts):
-            part.append(sums[x_k] - den_x)
+    columns = [*zip(*(x.counts for x in obs)), [x.total for x in obs]]
+    walks = [partial(_sum_recips, start) for start in (*alpha.alpha, alpha.sum_a)]
+    *num, den = map(list, _column_states(walks, columns))
+    parts = [[n - d for n, d in zip(column, den)] for column in num]
     return np.array([_finite_fsum(p, f"gradient component {k}") for k, p in enumerate(parts)])
 
 

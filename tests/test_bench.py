@@ -86,6 +86,13 @@ class TestConfig:
         with pytest.raises(DomainError):
             ExperimentConfig((1, 1), (0.5, 0.5), 0.1, n_values=())
 
+    def test_largest_point_is_checked_at_construction(self):
+        # counts of 2^62 sum to 2^64, past the budget; 2 * 2^62 is past 64 bits
+        with pytest.raises(ResourceLimitError, match="evaluator budget"):
+            accuracy_defaults(n_values=(1, 2**62))
+        with pytest.raises(DomainError, match="does not fit in 64 bits"):
+            runtime_defaults(n_values=(1, 2**62))
+
     def test_counts_scaling(self):
         cfg = runtime_defaults()
         assert cfg.counts_at(10).counts == (10, 20, 30)

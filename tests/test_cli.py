@@ -489,6 +489,42 @@ class TestBench:
         assert err.startswith(f"error: cannot write {target}: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "experiment, message",
+        [
+            ("accuracy", "total count 18446744073709551616 exceeds the evaluator budget"),
+            ("runtime", "count 9223372036854775808 does not fit in 64 bits"),
+        ],
+        ids=["accuracy", "runtime"],
+    )
+    def test_grid_past_the_counts_limits_fails_before_the_sweep(
+        self, capsys, monkeypatch, experiment, message
+    ):
+        from dmnll import bench
+
+        def no_sweep(cfg):
+            raise AssertionError("ran the sweep")
+
+        monkeypatch.setattr(bench, f"run_{experiment}_experiment", no_sweep)
+        argv = ["bench", experiment, "--n", "1,4611686018427387904", "--repeats", "3"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bench", "accuracy", "--n", "1,x"], "--n expects comma-separated integers, got '1,x'"),
+            (["bench", "accuracy", "--n", "1.5"], "--n expects comma-separated integers, got '1.5'"),
+            (["fit", "T", "--alpha", "1,x"], "--alpha expects comma-separated numbers, got '1,x'"),
+        ],
+        ids=["n-text", "n-float", "alpha-text"],
+    )
+    def test_unparseable_number_list_names_its_flag(self, capsys, counts_file, argv, message):
+        argv = [counts_file("1,2\n3,4\n") if a == "T" else a for a in argv]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_writable_out_is_left_alone_until_written(self, capsys, tmp_path, monkeypatch):
         from dmnll import bench
 

@@ -199,6 +199,16 @@ def test_nan_in_a_route_is_a_dmn_error(monkeypatch, params, evaluate, method, fu
             dmn_loglik_rows(params, rows)
 
 
+def test_nan_in_the_multinomial_coefficient_is_a_dmn_error(monkeypatch):
+    """The coefficient merges its walk as the evaluators merge theirs, so a
+    NaN in it is an error, never a value."""
+    fake = types.SimpleNamespace(**vars(math))
+    fake.log = lambda *args: math.nan
+    monkeypatch.setattr(core, "math", fake)
+    with pytest.raises(DmnError, match="NaN"):
+        log_multinomial_coef((1, 2))
+
+
 # ---------------------------------------------------------------------------
 # dmn_loglik_exact
 # ---------------------------------------------------------------------------

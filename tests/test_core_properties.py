@@ -19,6 +19,7 @@ from dmnll import (
     dmn_loglik_lgamma,
     dmn_loglik_phi,
     dmn_loglik_rows,
+    log_multinomial_coef,
     mn_log_pmf,
     mn_loglik_kernel,
     params_from_mean_phi,
@@ -310,6 +311,22 @@ def test_sum_of_logs_routes_match_the_written_out_formulas_bitwise(case):
     by_phi = [_phi_formula(mp.p, phi, x).hex() for x in rows]
     assert [dmn_loglik_phi(mp, x).value.hex() for x in rows] == by_phi
     assert [r.value.hex() for r in dmn_loglik_rows(mp, rows)] == by_phi
+
+
+@given(counts=st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=6))
+@example(counts=[0])
+@example(counts=[1, 1, 1, 1, 1])
+@example(counts=[0, 3, 3, 0, 7])
+@settings(max_examples=150, deadline=None)
+def test_log_multinomial_coef_matches_the_written_out_formula_bitwise(counts):
+    """log N! and each log x_k! as their own ascending Neumaier sums of
+    log 2, log 3, ..., merged by ``fsum``: the coefficient reads them from
+    one shared walk, bit for bit."""
+    parts = [*_neumaier(math.log(i) for i in range(2, sum(counts) + 1))]
+    for x_k in counts:
+        s, c = _neumaier(math.log(i) for i in range(2, x_k + 1))
+        parts += [-s, -c]
+    assert log_multinomial_coef(counts).hex() == math.fsum(parts).hex()
 
 
 #: alpha from the smallest subnormal up to where lgamma overflows a float

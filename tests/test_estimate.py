@@ -16,6 +16,7 @@ from dmnll import (
     DimensionMismatchError,
     DomainError,
     ResourceLimitError,
+    core,
     estimate,
     fit_alpha_mle,
     grad_loglik,
@@ -92,6 +93,21 @@ class TestGradient:
         d = Dataset([(1, 1), (2**63 - 1, 0)])
         with pytest.raises(ResourceLimitError, match="exceeds the evaluator budget"):
             grad_loglik((1.0, 1.0), d)
+
+    def test_walks_each_column_once(self, monkeypatch):
+        # one walk per category and one for the totals, each over its
+        # column's distinct counts, so up to its largest count
+        walked = []
+        walk = core._sum_terms
+
+        def spy(term, start, step, levels):
+            walked.append(list(levels))
+            return walk(term, start, step, walked[-1])
+
+        monkeypatch.setattr(core, "_sum_terms", spy)
+        rows = [(3, 0, 5), (3, 0, 1), (0, 0, 5), (7, 0, 1), (3, 0, 5)]
+        grad_loglik((1.0, 2.0, 0.5), Dataset(rows))
+        assert walked == [[0, 3, 7], [0], [1, 5], [4, 5, 8]]
 
     def test_matches_finite_differences(self, rng):
         for _ in range(25):
