@@ -3,11 +3,14 @@ import itertools
 import math
 import numbers
 
+import mpmath
 import numpy as np
 import pytest
 
 from dmnll import AlphaParams, CountVector, DmnError, DomainError
+from dmnll.bench import REFERENCE_DPS
 from dmnll.cli import CountTable, TableParseError
+from dmnll.core import _as_alpha, _checked
 from dmnll.estimate import ALPHA_FLOOR
 
 
@@ -28,6 +31,27 @@ def random_counts(rng, k, n_max, allow_empty=True) -> CountVector:
     total = int(np.exp(rng.uniform(0.0, np.log(n_max))))
     p = rng.dirichlet(np.ones(k))
     return CountVector(rng.multinomial(total, p).tolist())
+
+
+def walk_reference(alpha, x) -> float:
+    """The same nested log sums as the exact evaluator, in 40-digit arithmetic.
+
+    Every term (including the parameter total A) is computed and accumulated
+    as an mpmath float with ``REFERENCE_DPS`` significant digits; the result
+    is rounded to a Python float once at the end.  O(N): the oracle that
+    ``dmnll.bench.reference_loglik``'s O(K) log-gamma form must match.
+    """
+    alpha = _as_alpha(alpha)
+    x = _checked(len(alpha.alpha), x)
+    with mpmath.workdps(REFERENCE_DPS):
+        num = mpmath.fsum(
+            mpmath.log(mpmath.mpf(a_k) + j)
+            for a_k, x_k in zip(alpha.alpha, x.counts)
+            for j in range(x_k)
+        )
+        a_sum = mpmath.fsum(mpmath.mpf(a_k) for a_k in alpha.alpha)
+        den = mpmath.fsum(mpmath.log(a_sum + i) for i in range(x.total))
+        return float(num - den)
 
 
 class OldTailCounts:

@@ -29,6 +29,7 @@ from dmnll import (
 from dmnll.bench import (
     Method,
     accuracy_defaults,
+    reference_loglik,
     run_accuracy_experiment,
     run_runtime_experiment,
     runtime_defaults,
@@ -72,6 +73,24 @@ def test_accuracy_sweep_reproduction():
         wins >= 0.9 * len(ex_errors),
         f"{wins}/{len(ex_errors)} grid points",
     )
+
+
+def test_accuracy_past_the_grid_in_ulps():
+    """The accuracy sweep's counts at n = 1e4 and 1e5: exact within 1 ulp of
+    the reference.  An absolute gate would not scale: the values reach -5.5e5,
+    whose ulp is 1.2e-10.  lgamma's error is reported, not gated."""
+    cfg = accuracy_defaults(n_values=(10**4, 10**5))
+    alpha = cfg.alpha()
+    for n in cfg.n_values:
+        x = cfg.counts_at(n)
+        ref = reference_loglik(alpha, x)
+        ulps = abs(dmn_loglik_exact(alpha, x).value - ref) / math.ulp(ref)
+        lg_ulps = abs(dmn_loglik_lgamma(alpha, x).value - ref) / math.ulp(ref)
+        check(
+            f"accuracy at n = {n}: exact within 1 ulp",
+            ulps <= 1.0,
+            f"exact {ulps:g} ulp, lgamma {lg_ulps:g} ulp",
+        )
 
 
 def test_runtime_scaling_reproduction():

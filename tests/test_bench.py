@@ -23,6 +23,7 @@ from dmnll import (
 )
 from dmnll.bench import CSV_HEADER, canonical_json, records_to_csv, records_to_json
 from dmnll.core import MAX_TOTAL_COUNT
+from conftest import random_alpha, random_counts, walk_reference
 
 
 class TestReference:
@@ -65,6 +66,49 @@ class TestReference:
             )
             expected = float(expected)
         assert reference_loglik(alpha, x) == pytest.approx(expected, abs=1e-13)
+
+
+class TestWalkOracle:
+    """The log-gamma reference returns the float of the 40-digit log walk."""
+
+    @pytest.mark.parametrize("cfg", [accuracy_defaults(), runtime_defaults()])
+    def test_default_grids(self, cfg):
+        alpha = cfg.alpha()
+        for n in cfg.n_values:
+            x = cfg.counts_at(n)
+            assert reference_loglik(alpha, x).hex() == walk_reference(alpha, x).hex(), n
+
+    def test_seeded_sample(self, rng):
+        for _ in range(100):
+            k = int(rng.integers(1, 11))
+            alpha = random_alpha(rng, k, lo=0.01, hi=100.0)
+            x = random_counts(rng, k, n_max=10_000)
+            assert reference_loglik(alpha, x).hex() == walk_reference(alpha, x).hex(), (
+                alpha, x
+            )
+
+    @pytest.mark.parametrize(
+        "alpha, x",
+        [
+            # logGamma(A + N) is about 7e302 and 1e311: 40 digits alone cancel to noise
+            ((1e300, 2.0), (3, 4)),
+            ((8e307, 8e307), (2, 1)),
+            ((5e-324, 1.0), (3, 2)),
+            ((1e-300, 1e-300, 3.0), (0, 5, 9)),
+        ],
+    )
+    def test_extremes(self, alpha, x):
+        assert reference_loglik(alpha, x).hex() == walk_reference(alpha, x).hex()
+
+    @pytest.mark.parametrize("n", [10**6, 10**9, 2**38])
+    def test_large_totals_hold_at_more_digits(self, monkeypatch, n):
+        # past the walk's reach (2^38 * 4 is the budget): the float must not
+        # move when the working precision gains 20 digits
+        cfg = accuracy_defaults(n_values=(n,))
+        alpha, x = cfg.alpha(), cfg.counts_at(n)
+        value = reference_loglik(alpha, x)
+        monkeypatch.setattr(bench, "REFERENCE_DPS", bench.REFERENCE_DPS + 20)
+        assert reference_loglik(alpha, x).hex() == value.hex()
 
 
 class TestConfig:

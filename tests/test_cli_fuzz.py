@@ -196,7 +196,8 @@ def test_fit_keeps_its_contract(table_path, case):
 
 #: ``--n`` items: small multipliers (drawn twice as often, so that many grids
 #: reach the sweep), and counts too large for a walk or for 64 bits. Mid-size
-#: n is left out: the reference walks n * K terms in mpmath.
+#: n is left out: the runtime sweep's timing loop repeats an O(n) walk hundreds
+#: of times.
 N_ITEMS = st.one_of(
     st.integers(0, 20).map(str),
     st.integers(0, 20).map(str),
