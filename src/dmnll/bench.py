@@ -97,7 +97,10 @@ def reference_loglik(alpha: AlphaLike, x: CountsLike) -> float:
     ``mpmath.loggamma``: O(K) whatever N, and a formula independent of the
     evaluators' sums of logs.  The differences cancel by about the digits of
     the largest log-gamma value, so the working precision is
-    :data:`REFERENCE_DPS` plus those digits.  The parameter total A is the
+    :data:`REFERENCE_DPS` plus those digits, plus the decimal digits the
+    parameters span, so that a result as small as the least parameter (at
+    alpha = (1e-300, 1), x = (0, 5) it is about -2.28e-300) keeps its
+    digits in A and in the differences.  The parameter total A is the
     mpmath sum of the parameters, and the result is rounded to a Python
     float once at the end.  Serves as ground truth when measuring evaluator
     error.
@@ -109,6 +112,10 @@ def reference_loglik(alpha: AlphaLike, x: CountsLike) -> float:
     # A + N is the largest argument, and loggamma(z) is about z log z.
     top = alpha.sum_a + x.total
     digits = math.ceil(math.log10(top) + math.log10(max(1.0, math.log(top))))
+    # A result can be as small as the least a_k, which A holds to its last
+    # digit only at as many more digits as the a_k span.  Their ratio can
+    # overflow a float, the difference of their logs cannot.
+    digits += math.ceil(math.log10(max(alpha.alpha)) - math.log10(min(alpha.alpha)))
     with mpmath.workdps(REFERENCE_DPS + digits):
         a = [mpmath.mpf(a_k) for a_k in alpha.alpha]
         a_sum = mpmath.fsum(a)

@@ -2,7 +2,14 @@
 
 Input count tables are UTF-8 CSV, one observation per row, integer cells,
 with an optional header row of category names; lines starting with ``#``
-are ignored.  Results are printed as CSV or canonical JSON (``--format``),
+are ignored.  A table is parsed straight into columns, K count columns and
+their totals: each line is converted to ints as it is read, and the counts
+are checked a column at a time, for negatives and for 64 bits.  A table
+that fails anywhere is scanned again, each line's cells checked in order,
+so the error names the first bad cell in row order and its line.
+``dmnll loglik`` hands the columns to the table evaluator as they are,
+with no per-row objects; ``dmnll fit`` builds its dataset from the
+table's rows.  Results are printed as CSV or canonical JSON (``--format``),
 to stdout or ``--out``.  Exit codes: 0 success, 1 computation/domain error,
 2 usage, parse or I/O error.
 """
@@ -15,9 +22,10 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
+    _MAX_COUNT,
     SCHEMA_VERSION,
     AlphaParams,
     CountVector,
@@ -25,7 +33,8 @@ from .core import (
     DomainError,
     MeanPhiParams,
     Method,
-    _loglik_table,
+    _columns,
+    _loglik_columns,
     canonical_json,
     dmn_loglik_exact,  # noqa: F401  perfbench/spans.py rebinds this name here
     dmn_loglik_lgamma,  # noqa: F401  perfbench/spans.py rebinds this name here
@@ -46,57 +55,102 @@ class TableParseError(UsageError):
     """A count table could not be parsed; message carries the line number."""
 
 
-@dataclass(frozen=True)
 class CountTable:
-    """Parsed count observations plus optional column names from the header."""
+    """A parsed count table: K count columns and their totals, plus the
+    column names of its header, if it has one.
 
-    rows: tuple[CountVector, ...]
-    column_names: tuple[str, ...] | None
+    ``columns`` holds the K count columns, then the totals, each in row
+    order: what the table evaluator reads.  ``rows``, one
+    :class:`CountVector` per observation, is built from the columns when
+    first read.  A table made from its rows,
+    ``CountTable(rows=..., column_names=...)``, keeps them and transposes
+    them once into its columns.
+    """
+
+    def __init__(self, rows=None, column_names=None, *, columns=None):
+        if columns is None:
+            self.rows = tuple(rows)
+            columns = _columns(self.rows)
+        self.columns = columns
+        self.column_names = column_names
+
+    @cached_property
+    def rows(self) -> tuple[CountVector, ...]:
+        return tuple(map(CountVector, zip(*self.columns[:-1])))
 
 
 def parse_count_table(text: str, source: str = "<input>") -> CountTable:
-    """Parse a counts CSV.
+    """Parse a counts CSV into columns.
 
     The first non-comment row is taken as a header unless every cell in it
     is an integer literal (even one too long for ``int``), in which case
     the table is treated as headerless.
+
+    Each line is only converted to ints as it is read; the counts are then
+    checked a column at a time, for negatives and for 64 bits.  A table
+    that fails anywhere is scanned again with every line's cells checked
+    in order, so that the error names the first bad cell and its line, as
+    a check row by row would.
     """
-    header: tuple[str, ...] | None = None
-    rows: list[CountVector] = []
+    try:
+        header, rows = _scan(text, source, checked=False)
+        counts = list(zip(*rows))
+        if min(map(min, counts)) < 0 or max(map(max, counts)) > _MAX_COUNT:
+            raise TableParseError(f"{source}: a count is negative or past 64 bits")
+    except TableParseError:
+        # the checked scan stops at the line the fast one failed on, or before
+        _scan(text, source, checked=True)
+        raise
+    return CountTable(columns=[*counts, list(map(sum, rows))], column_names=header)
+
+
+def _scan(text: str, source: str, checked: bool) -> tuple[tuple[str, ...] | None, list]:
+    """The header, if any, and each observation line's counts.
+
+    Unless ``checked``, a line's cells are only converted to ints.  With
+    ``checked``, each line's cells are checked in order as
+    :class:`CountVector` checks them, so the first bad cell of the first
+    bad line is the error.  A ragged or unsplittable line, or a table with
+    no observations, raises :class:`TableParseError` either way.
+    """
+    header = None
+    rows = []
     width = None
-    first_content = True
     for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        cells = [c.strip() for c in _split_cells(raw, source, lineno)]
-        if first_content:
-            first_content = False
-            if not _all_ints(cells):
-                header = tuple(cells)
-                width = len(cells)
-                continue
+        cells = _split_cells(raw, source, lineno)
         if width is None:
             width = len(cells)
-        if len(cells) != width:
+            names = tuple(c.strip() for c in cells)
+            if not _all_ints(names):
+                header = names
+                continue
+        elif len(cells) != width:
             raise TableParseError(
                 f"{source} line {lineno}: expected {width} columns, found {len(cells)}"
             )
         try:
-            try:
+            if checked:
                 # map converts lazily in cell order, so the first bad cell is
                 # reported, be it a bad literal or a bad count
-                row = CountVector(map(int, cells))
-            except ValueError:
-                # int() refuses a literal past its digit limit as it refuses
-                # text; only a conversion cell by cell tells the two apart
-                row = CountVector(map(_to_int, cells))
+                row = CountVector(map(_to_int, map(str.strip, cells)))
+            else:
+                try:
+                    # int skips the whitespace strip removes; a cell where
+                    # the two differ is refused, and read below, stripped
+                    row = list(map(int, cells))
+                except ValueError:
+                    # int() refuses a literal past its digit limit as it
+                    # refuses text; only _to_int tells the two apart
+                    row = list(map(_to_int, map(str.strip, cells)))
         except (ValueError, DmnError) as exc:
             raise TableParseError(f"{source} line {lineno}: {exc}") from exc
         rows.append(row)
     if not rows:
         raise TableParseError(f"{source}: no count observations found")
-    return CountTable(rows=tuple(rows), column_names=header)
+    return header, rows
 
 
 def _split_cells(raw: str, source: str, lineno: int) -> list[str]:
@@ -231,7 +285,7 @@ def _resolve_eval_params(args):
 def cmd_loglik(args) -> int:
     table = _read_table(args.table)
     params, method = _resolve_eval_params(args)
-    values, terms = _loglik_table(params, table.rows, Method(method))
+    values, terms = _loglik_columns(params, table.columns, Method(method))
     rows = enumerate(zip(values, terms))
     total = math.fsum(values)
 
@@ -258,7 +312,7 @@ def cmd_loglik(args) -> int:
 
 def cmd_fit(args) -> int:
     table = _read_table(args.table)
-    if len(table.rows[0].counts) == 1:
+    if len(table.columns) == 2:  # one count column, and the totals
         # Unusable input rather than a failed computation.
         raise UsageError(
             "the table has a single category; its likelihood is constant "

@@ -19,13 +19,16 @@ shared walk per category, bit for bit equal to the per-row calls; the
 lgamma route evaluates each distinct count once in the same way.  That
 column pass exists once (``_column_states``): it walks each column, the
 K count columns and then the totals, over its distinct counts, and yields
-every row's state in it.  The table evaluator zips its K + 1 columns of
-states into rows and merges each row's states; the gradient in
-``dmnll.estimate`` reads its reciprocal sums from the same pass.  The
-table and the per-row sum-of-logs evaluators read the parameters and pick
-the route in one place (``_route``) and merge a row's states in one place
-(``_merge``); they differ only in where the states come from, a row's own
-walks or lookups into the shared ones.  A route is one walk: the
+every row's state in it.  The table evaluator (``_loglik_columns``)
+takes a table as those columns, as the CLI parses it and a dataset
+keeps it, with no per-row objects; it zips its K + 1 columns of states
+into rows and merges each row's states.  Tables given as rows are
+checked row by row and transposed once (``_loglik_table``).  The
+gradient in ``dmnll.estimate`` reads its reciprocal sums from the same
+pass.  The table and the per-row sum-of-logs evaluators read the
+parameters and pick the route in one place (``_route``) and merge a
+row's states in one place (``_merge``); they differ only in where the
+states come from, a row's own walks or lookups into the shared ones.  A route is one walk: the
 denominator log Gamma(A + N) - log Gamma(A) is the same rising-factorial
 log sum as each category's numerator, started at A, so its states are the
 route's own walk, negated (``_denominator``).  The per-row lgamma call
@@ -326,14 +329,46 @@ def _sized(k_params: int, x: CountsLike) -> CountVector:
     return x
 
 
-def _checked(k_params: int, x: CountsLike) -> CountVector:
-    """``x`` as a :class:`CountVector` with K = ``k_params`` categories, within budget."""
+def _checked(
+    k_params: int, x: CountsLike, budget: float = MAX_TOTAL_COUNT
+) -> CountVector:
+    """``x`` as a :class:`CountVector` with K = ``k_params`` categories, its
+    total within ``budget``."""
     x = _sized(k_params, x)
-    if x.total > MAX_TOTAL_COUNT:
-        raise ResourceLimitError(
-            f"total count {x.total} exceeds the evaluator budget of {MAX_TOTAL_COUNT}"
-        )
+    _check_budget(x.total, budget)
     return x
+
+
+def _check_budget(total: int, budget: float) -> None:
+    """A row's ``total`` must not exceed the route's ``budget``."""
+    if total > budget:
+        raise ResourceLimitError(
+            f"total count {total} exceeds the evaluator budget of {budget}"
+        )
+
+
+def _check_table(
+    k_params: int, columns: Sequence[Sequence[int]], budget: float = MAX_TOTAL_COUNT
+) -> None:
+    """Check a table's columns as :func:`_checked` checks each of its rows.
+
+    ``columns`` are the K count columns, then the totals.  A table's rows
+    all have its K categories, so the dimension is checked once; the budget
+    is checked by the largest total, and the first row over it is the error.
+    """
+    if len(columns) - 1 != k_params:
+        raise DimensionMismatchError(
+            f"parameters have {k_params} categories, counts have {len(columns) - 1}"
+        )
+    totals = columns[-1]
+    if max(totals, default=0) > budget:
+        for n in totals:
+            _check_budget(n, budget)
+
+
+def _columns(rows: Sequence[CountVector]) -> list[Sequence[int]]:
+    """The columns of checked ``rows``: the K count columns, then the totals."""
+    return [*zip(*(x.counts for x in rows)), [x.total for x in rows]]
 
 
 # ---------------------------------------------------------------------------
@@ -464,28 +499,29 @@ def _column_states(walks, columns: Sequence[Sequence[int]], skip=()) -> Iterator
 
 
 def _route(params: AlphaLike | MeanPhiParams, method: Method):
-    """The walk that evaluates ``params`` by ``method``, and how rows are checked.
+    """The walk that evaluates ``params`` by ``method``, and its budget.
 
     The one place that tells the routes apart.  A route is one walk.
-    Returns ``(starts, walk, den_start, check, terms)``: category k's
+    Returns ``(starts, walk, den_start, budget, terms)``: category k's
     states at ``levels`` are ``walk(starts[k], levels)``, and the
     denominator's are the same walk from ``den_start``, negated by
     :func:`_denominator`, so that a row's merge adds up every state it
     reads.  ``den_start`` is A, or 1.0 on the phi route, whose denominator
-    walks log((1-phi) + i phi), the walk of p_k = 1.  ``check(K, x)``
-    validates a row; ``terms`` is the lgamma route's per-row cost, 2K + 2,
-    or None on the sum-of-logs routes, whose cost is the counts they read.
+    walks log((1-phi) + i phi), the walk of p_k = 1.  ``budget`` is the
+    largest total a row may have: :data:`MAX_TOTAL_COUNT`, or infinity on
+    the O(K) lgamma route.  ``terms`` is the lgamma route's per-row cost,
+    2K + 2, or None on the sum-of-logs routes, whose cost is the counts
+    they read.
     The phi route takes :class:`MeanPhiParams`; the others take
     concentration parameters.
     """
     if method is Method.PHI_FORM:
-        return params.p, partial(_sum_phi_logs, params.phi), 1.0, _checked, None
+        return params.p, partial(_sum_phi_logs, params.phi), 1.0, MAX_TOTAL_COUNT, None
     alpha = _as_alpha(params)
     if method is Method.LOG_GAMMA:
-        # O(K) per row: no budget on the counts
         terms = 2 * len(alpha.alpha) + 2
-        return alpha.alpha, _lgamma_rises, alpha.sum_a, _sized, terms
-    return alpha.alpha, _sum_logs, alpha.sum_a, _checked, None
+        return alpha.alpha, _lgamma_rises, alpha.sum_a, math.inf, terms
+    return alpha.alpha, _sum_logs, alpha.sum_a, MAX_TOTAL_COUNT, None
 
 
 def _denominator(walk, den_start: float, levels: Iterable[int]) -> list[list[float]]:
@@ -506,8 +542,8 @@ def _numerators(walk, starts: Sequence[float], counts: Sequence[int]) -> list[fl
     return parts
 
 
-def _ended(starts: Sequence[float], x: CountVector) -> int | None:
-    """Row ``x``'s terms if it observes a zero-probability category, else None.
+def _ended(starts: Sequence[float], counts: Sequence[int]) -> int | None:
+    """A row's terms if its ``counts`` observe a zero-probability category, else None.
 
     Only such a category has a ``-inf`` walk, so such a row is ``-inf``.
     Its terms are the counts of the categories before the first one, the
@@ -516,7 +552,7 @@ def _ended(starts: Sequence[float], x: CountVector) -> int | None:
     if 0.0 not in starts:
         return None
     n_logs = 0
-    for start, x_k in zip(starts, x.counts):
+    for start, x_k in zip(starts, counts):
         if start == 0.0 and x_k:
             return n_logs
         n_logs += x_k
@@ -539,9 +575,9 @@ def _merge(rows: Iterable[Iterable[float]]) -> list[float]:
 
 def _walk_row(params: AlphaLike | MeanPhiParams, x: CountsLike, method: Method) -> LogLikResult:
     """One row from walks of its own; a ``-inf`` row takes none."""
-    starts, walk, den_start, check, terms = _route(params, method)
-    x = check(len(starts), x)
-    ended = _ended(starts, x)
+    starts, walk, den_start, budget, terms = _route(params, method)
+    x = _checked(len(starts), x, budget)
+    ended = _ended(starts, x.counts)
     if ended is not None:
         return LogLikResult(_NEG_INF, method, ended)
     parts = _numerators(walk, starts, x.counts)
@@ -550,36 +586,58 @@ def _walk_row(params: AlphaLike | MeanPhiParams, x: CountsLike, method: Method) 
     return LogLikResult(value, method, 2 * x.total if terms is None else terms)
 
 
-def _loglik_table(
-    params: AlphaLike | MeanPhiParams, rows: Iterable[CountsLike], method: Method
+def _loglik_columns(
+    params: AlphaLike | MeanPhiParams, columns: Sequence[Sequence[int]], method: Method
 ) -> tuple[list[float], list[int]]:
-    """Every row's value and terms, as plain floats and ints, from shared passes.
+    """Every row's value and terms, as plain floats and ints, from a table's columns.
 
-    Row r's are those of the per-row evaluator of ``method`` on ``rows[r]``,
-    bit for bit.  :func:`_column_states` walks each category once, up to
-    its largest count, and the denominator once, up to the largest total.
-    Its K + 1 columns of states are zipped into rows once, and each row's
-    states, flattened into one list of parts, are merged as the per-row
-    call merges them.  A ``-inf`` row is left out of every walk, so no
-    walk takes more logs (or lgamma calls) than the per-row calls.  Every
-    row is checked, in order, before any pass starts.
+    The one table evaluator.  ``columns`` are the K count columns, then
+    the totals, each in row order, holding non-negative ints, each total
+    its row's sum: a parsed table's columns, or checked rows' (see
+    :func:`_loglik_table`).  Row r's value and terms are those of the
+    per-row evaluator of ``method`` on row r, bit for bit, and so are the
+    errors, checked before any pass starts (:func:`_check_table`).
+
+    The columns go to :func:`_column_states` as they are: it walks each
+    category once, up to its largest count, and the denominator once, up
+    to the largest total.  Its K + 1 columns of states are zipped into
+    rows once, and each row's states, flattened into one list of parts,
+    are merged as the per-row call merges them.  Only where a category
+    has probability 0 are rows read whole, to find the ``-inf`` rows; such
+    a row is left out of every walk, so no walk takes more logs (or lgamma
+    calls) than the per-row calls.
     """
-    starts, walk, den_start, check, terms = _route(params, method)
-    checked = [check(len(starts), x) for x in rows]
-    if not checked:
-        return [], []
+    starts, walk, den_start, budget, terms = _route(params, method)
+    _check_table(len(starts), columns, budget)
+    *counts, totals = columns
     ended = {}
     if 0.0 in starts:
-        ended = {r: n for r, x in enumerate(checked) if (n := _ended(starts, x)) is not None}
-    columns = [*zip(*(x.counts for x in checked)), [x.total for x in checked]]
+        ended = {
+            r: n for r, row in enumerate(zip(*counts)) if (n := _ended(starts, row)) is not None
+        }
     walks = [partial(walk, start) for start in starts]
     walks.append(partial(_denominator, walk, den_start))
     states = zip(*_column_states(walks, columns, ended))
     values = _merge(map(chain.from_iterable, states))
-    costs = [terms] * len(checked) if terms is not None else [2 * n for n in columns[-1]]
+    costs = [terms] * len(totals) if terms is not None else [2 * n for n in totals]
     for r, n in ended.items():
         costs[r] = n
     return values, costs
+
+
+def _loglik_table(
+    params: AlphaLike | MeanPhiParams, rows: Iterable[CountsLike], method: Method
+) -> tuple[list[float], list[int]]:
+    """:func:`_loglik_columns` on a table given as rows.
+
+    Every row is checked, in order, as the per-row evaluator of ``method``
+    checks it, and the checked rows are transposed once into columns.
+    """
+    starts, _, _, budget, _ = _route(params, method)
+    checked = [_checked(len(starts), x, budget) for x in rows]
+    if not checked:
+        return [], []
+    return _loglik_columns(params, _columns(checked), method)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +766,7 @@ def mn_loglik_kernel(p: Sequence[float], x: CountsLike) -> float:
     """
     probs = _as_simplex(p)
     x = _checked(len(probs), x)
-    if _ended(probs, x) is not None:
+    if _ended(probs, x.counts) is not None:
         return _NEG_INF
     # at phi = 0 every denominator term is log(1) = 0: its state adds nothing
     (value,) = _merge([_numerators(_MULTINOMIAL_WALK, probs, x.counts)])

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Sequence
 
@@ -51,10 +51,11 @@ from .core import (
     ResourceLimitError,
     _as_alpha,
     _check_size,
-    _checked,
+    _check_table,
     _column_states,
+    _columns,
     _finite_fsum,
-    _loglik_table,
+    _loglik_columns,
     _sum_recips,
     dmn_loglik_exact,  # noqa: F401  perfbench/spans.py rebinds this name here
 )
@@ -103,10 +104,15 @@ class MonotonicityError(DmnError):
 
 @dataclass(frozen=True, init=False)
 class Dataset:
-    """A sequence of count observations sharing the same K categories."""
+    """A sequence of count observations sharing the same K categories.
+
+    ``columns`` holds the observations transposed once, as the fit and the
+    table evaluator read them: the K count columns, then the totals.
+    """
 
     observations: tuple[CountVector, ...]
     k: int
+    columns: list = field(repr=False, compare=False)
 
     def __init__(self, observations: Iterable[CountVector | Sequence[int]]):
         obs = tuple(
@@ -122,6 +128,7 @@ class Dataset:
                 )
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "columns", _columns(obs))
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -151,7 +158,7 @@ class FitResult:
 
 def loglik_dataset(alpha: AlphaLike, d: Dataset) -> float:
     """Log-likelihood of i.i.d. observations: the sum of per-row kernels."""
-    return math.fsum(_loglik_table(alpha, d.observations, Method.EXACT)[0])
+    return math.fsum(_loglik_columns(alpha, d.columns, Method.EXACT)[0])
 
 
 def grad_loglik(alpha: AlphaLike, d: Dataset) -> np.ndarray:
@@ -172,10 +179,9 @@ def grad_loglik(alpha: AlphaLike, d: Dataset) -> np.ndarray:
     a :class:`ResourceLimitError`.
     """
     alpha = _as_alpha(alpha)
-    obs = [_checked(len(alpha.alpha), x) for x in d.observations]
-    columns = [*zip(*(x.counts for x in obs)), [x.total for x in obs]]
+    _check_table(len(alpha.alpha), d.columns)
     walks = [partial(_sum_recips, start) for start in (*alpha.alpha, alpha.sum_a)]
-    *num, den = map(list, _column_states(walks, columns))
+    *num, den = map(list, _column_states(walks, d.columns))
     parts = [[n - d for n, d in zip(column, den)] for column in num]
     return np.array([_finite_fsum(p, f"gradient component {k}") for k, p in enumerate(parts)])
 
@@ -194,9 +200,8 @@ class _TailCounts:
     """
 
     def __init__(self, d: Dataset):
-        counts = [o.counts for o in d.observations]
-        totals = [o.total for o in d.observations]
-        tops = [max(column) for column in zip(*counts)] + [max(totals)]
+        *counts, totals = d.columns
+        tops = [*map(max, counts), max(totals)]
         n_levels = sum(tops)
         if n_levels > _MAX_FIT_LEVELS:
             raise ResourceLimitError(
@@ -204,8 +209,9 @@ class _TailCounts:
                 f"count levels, more than the supported maximum of {_MAX_FIT_LEVELS}"
             )
         m = np.array(counts, dtype=np.int64)
-        self.pooled = m.sum(axis=0, dtype=np.float64)
-        columns = [*m.T, np.array(totals, dtype=np.int64)]
+        # the counts are below the level bound, so these sums are exact in any order
+        self.pooled = m.sum(axis=1, dtype=np.float64)
+        columns = [*m, np.array(totals, dtype=np.int64)]
         self.sizes = np.array(tops)
         self.weights = np.concatenate(
             [_tail(col, top) for col, top in zip(columns, tops)]
@@ -351,7 +357,7 @@ def fit_alpha_mle(
         raise DomainError(
             "single-category data has a constant likelihood; there is nothing to fit"
         )
-    if all(o.total == 0 for o in d.observations):
+    if not any(d.columns[-1]):
         raise DomainError("every observation is all-zero; there is nothing to fit")
     _check_size("max_iter", max_iter)
     if not (isinstance(tol, numbers.Real) and tol > 0.0):

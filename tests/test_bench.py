@@ -67,6 +67,28 @@ class TestReference:
             expected = float(expected)
         assert reference_loglik(alpha, x) == pytest.approx(expected, abs=1e-13)
 
+    @pytest.mark.parametrize(
+        "alpha, x, expected",
+        [
+            # at a flat 42 digits: -2.2833333333328734e-30, and 0.0 (A rounds to 1)
+            ((1e-30, 1.0), (0, 5), -2.2833333333333334e-30),
+            ((1e-300, 1.0), (0, 5), -2.2833333333333332e-300),
+        ],
+    )
+    def test_tiny_results_keep_their_digits(self, alpha, x, expected):
+        # a result about the size of the least alpha_k is as exact as any
+        # other: the float of the closed form at 400 digits
+        import mpmath
+
+        with mpmath.workdps(400):
+            a = [mpmath.mpf(v) for v in alpha]
+            big_a = mpmath.fsum(a)
+            closed_form = mpmath.fsum(
+                mpmath.loggamma(ak + xk) - mpmath.loggamma(ak) for ak, xk in zip(a, x)
+            ) - (mpmath.loggamma(big_a + sum(x)) - mpmath.loggamma(big_a))
+            assert float(closed_form) == expected
+        assert reference_loglik(alpha, x) == expected
+
 
 class TestWalkOracle:
     """The log-gamma reference returns the float of the 40-digit log walk."""

@@ -201,3 +201,25 @@ def test_oversized_quoted_field_is_a_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path} line 1: field larger than field limit")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("1,2\n-1,3\n1,x\n", 2),  # a negative count before a bad literal
+        ("1,x\n-1,2\n", 2),  # a header, then a negative count
+        ("1,2\n1,x\n-1,3\n", 2),  # a bad literal before a negative count
+        (f"1,2\n3,{1 << 63}\n-1,0\n", 2),
+        ("1,2\n-1,3\n1,2,3\n", 2),  # a ragged line after a negative count
+        ("1,2\n" * 9_999 + "1,-2\n", 10_000),  # the only bad cell is in the last row
+    ],
+    ids=["negative-then-literal", "header-then-negative", "literal-then-negative",
+         "range-then-negative",
+         "negative-then-ragged", "last-of-10000"],
+)
+def test_parse_reports_the_first_error_in_row_order(text, line):
+    # the counts are checked a column at a time, which can see a later
+    # fault first; the error must still be the first in row order
+    expected = outcome(old_parse_count_table, text, "t.csv")
+    assert expected[1].startswith(f"t.csv line {line}: ")
+    assert outcome(parse_count_table, text, "t.csv") == expected
