@@ -7,7 +7,9 @@ multipliers ``n``:
   evaluation per grid point and method, whose own duration is the record's
   (informational) ``wall_time_ns``;
 * runtime: wall time of ``evaluations_per_point`` consecutive evaluations,
-  median over ``repeats`` timing samples on a monotonic clock.
+  median over ``repeats`` timing samples on a monotonic clock, taken in
+  rounds across the grid so that a slow phase of the machine slows every
+  point alike.
 
 The sum-of-logs evaluator costs O(N) log calls and the log-gamma baseline
 costs O(K) lgamma calls, so the first scales linearly in ``n`` while the
@@ -29,7 +31,7 @@ import gc
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import mpmath
@@ -245,23 +247,31 @@ def runtime_defaults(
     )
 
 
-def _time_evaluations(func, alpha, x, repeats: int, evals: int) -> int:
-    """Median wall time (ns, monotonic clock) of `evals` consecutive calls."""
-    for _ in range(_WARMUP_EVALS):
-        func(alpha, x)
-    samples = []
+def _time_evaluations(calls, repeats: int, evals: int) -> list[int]:
+    """Median wall time (ns, monotonic clock) of ``evals`` consecutive calls
+    of each ``(func, alpha, x)`` in ``calls``.
+
+    The ``repeats`` samples are taken in rounds, one sample of every call
+    per round, so that a slow phase of the machine lasting a sample or
+    more slows every call alike instead of one.
+    """
+    for func, alpha, x in calls:
+        for _ in range(_WARMUP_EVALS):
+            func(alpha, x)
+    samples = [[] for _ in calls]
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(repeats):
-            t0 = time.perf_counter_ns()
-            for _ in range(evals):
-                func(alpha, x)
-            samples.append(time.perf_counter_ns() - t0)
+            for (func, alpha, x), own in zip(calls, samples):
+                t0 = time.perf_counter_ns()
+                for _ in range(evals):
+                    func(alpha, x)
+                own.append(time.perf_counter_ns() - t0)
     finally:
         if was_enabled:
             gc.enable()
-    return max(int(statistics.median(samples)), 1)
+    return [max(int(statistics.median(own)), 1) for own in samples]
 
 
 def _sweep(cfg: ExperimentConfig, timed: bool) -> list[BenchRecord]:
@@ -269,10 +279,11 @@ def _sweep(cfg: ExperimentConfig, timed: bool) -> list[BenchRecord]:
 
     Each record's errors and terms come from one evaluation, and its
     ``wall_time_ns`` is that evaluation's duration, or with ``timed`` the
-    median of :func:`_time_evaluations`.
+    median of :func:`_time_evaluations`, timed over every point at once.
     """
     alpha = cfg.alpha()
     records = []
+    calls = []
     for n in cfg.n_values:
         x = cfg.counts_at(n)
         ref = reference_loglik(alpha, x)
@@ -280,10 +291,7 @@ def _sweep(cfg: ExperimentConfig, timed: bool) -> list[BenchRecord]:
             t0 = time.perf_counter_ns()
             result = func(alpha, x)
             wall = max(time.perf_counter_ns() - t0, 1)
-            if timed:
-                wall = _time_evaluations(
-                    func, alpha, x, cfg.repeats, cfg.evaluations_per_point
-                )
+            calls.append((func, alpha, x))
             abs_error = abs(result.value - ref)
             records.append(
                 BenchRecord(
@@ -295,6 +303,9 @@ def _sweep(cfg: ExperimentConfig, timed: bool) -> list[BenchRecord]:
                     terms=result.terms,
                 )
             )
+    if timed:
+        walls = _time_evaluations(calls, cfg.repeats, cfg.evaluations_per_point)
+        records = [replace(r, wall_time_ns=w) for r, w in zip(records, walls)]
     return records
 
 

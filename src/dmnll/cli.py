@@ -2,16 +2,17 @@
 
 Input count tables are UTF-8 CSV, one observation per row, integer cells,
 with an optional header row of category names; lines starting with ``#``
-are ignored.  A table is parsed straight into columns, K count columns and
-their totals: each line is converted to ints as it is read, and the counts
-are checked a column at a time, for negatives and for 64 bits.  A table
-that fails anywhere is scanned again, each line's cells checked in order,
-so the error names the first bad cell in row order and its line.
-``dmnll loglik`` hands the columns to the table evaluator as they are,
-with no per-row objects; ``dmnll fit`` builds its dataset from the
-table's rows.  Results are printed as CSV or canonical JSON (``--format``),
-to stdout or ``--out``.  Exit codes: 0 success, 1 computation/domain error,
-2 usage, parse or I/O error.
+are ignored.  A table is parsed whole, straight into columns, K count
+columns and their totals: its lines are split into cells at once, every
+cell is converted to an int by one ``map``, each count column is a slice
+of those ints, and the counts are checked all at once, for negatives and
+for 64 bits.  A table that fails anywhere is scanned again, each line's
+cells checked in order, so the error names the first bad cell in row
+order and its line.  ``dmnll loglik`` hands the columns to the table
+evaluator as they are, and ``dmnll fit`` builds its dataset from them,
+with no per-row objects.  Results are printed as CSV or canonical JSON
+(``--format``), to stdout or ``--out``.  Exit codes: 0 success,
+1 computation/domain error, 2 usage, parse or I/O error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import os
 import re
 import sys
 from functools import cached_property
+from itertools import chain, repeat
 
 from .core import (
     _MAX_COUNT,
@@ -35,6 +37,7 @@ from .core import (
     Method,
     _columns,
     _loglik_columns,
+    _rows,
     canonical_json,
     dmn_loglik_exact,  # noqa: F401  perfbench/spans.py rebinds this name here
     dmn_loglik_lgamma,  # noqa: F401  perfbench/spans.py rebinds this name here
@@ -76,7 +79,7 @@ class CountTable:
 
     @cached_property
     def rows(self) -> tuple[CountVector, ...]:
-        return tuple(map(CountVector, zip(*self.columns[:-1])))
+        return _rows(self.columns)
 
 
 def parse_count_table(text: str, source: str = "<input>") -> CountTable:
@@ -86,85 +89,109 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
     is an integer literal (even one too long for ``int``), in which case
     the table is treated as headerless.
 
-    Each line is only converted to ints as it is read; the counts are then
-    checked a column at a time, for negatives and for 64 bits.  A table
-    that fails anywhere is scanned again with every line's cells checked
-    in order, so that the error names the first bad cell and its line, as
-    a check row by row would.
+    The table is read whole, not line by line: its observation lines are
+    split into cells at once, every line's width is checked, all cells are
+    converted to ints by one ``map``, and the counts are checked for
+    negatives and for 64 bits at once.  A table that fails anywhere is
+    scanned again with every line's cells checked in order
+    (:func:`_scan`), so that the error names the first bad cell and its
+    line, as a check row by row would.
     """
+    lines = text.splitlines()
+    # only a table that holds a blank or comment line pays for the filter
+    if "#" in text or "" in lines or any(map(str.isspace, lines)):
+        lines = [raw for raw in lines if (s := raw.strip()) and not s.startswith("#")]
     try:
-        header, rows = _scan(text, source, checked=False)
-        counts = list(zip(*rows))
-        if min(map(min, counts)) < 0 or max(map(max, counts)) > _MAX_COUNT:
-            raise TableParseError(f"{source}: a count is negative or past 64 bits")
-    except TableParseError:
-        # the checked scan stops at the line the fast one failed on, or before
-        _scan(text, source, checked=True)
-        raise
-    return CountTable(columns=[*counts, list(map(sum, rows))], column_names=header)
+        header, columns = _read_columns(lines)
+    except (ValueError, csv.Error) as exc:
+        _scan(text, source)  # raises at the first bad cell in row order
+        raise TableParseError(f"{source}: {exc}") from exc
+    return CountTable(columns=columns, column_names=header)
 
 
-def _scan(text: str, source: str, checked: bool) -> tuple[tuple[str, ...] | None, list]:
-    """The header, if any, and each observation line's counts.
+def _read_columns(lines: list[str]) -> tuple[tuple[str, ...] | None, list]:
+    """The header, if any, and the K count columns and their totals of a
+    table's content lines (no blank or comment line among them).
 
-    Unless ``checked``, a line's cells are only converted to ints.  With
-    ``checked``, each line's cells are checked in order as
-    :class:`CountVector` checks them, so the first bad cell of the first
-    bad line is the error.  A ragged or unsplittable line, or a table with
-    no observations, raises :class:`TableParseError` either way.
+    Any fault, a ragged line, a cell that is no count or an empty table,
+    raises :class:`ValueError` (or :class:`csv.Error`), without saying
+    where: :func:`_scan` finds that.
     """
+    if not lines:
+        raise ValueError("no count observations found")
+    names = tuple(map(str.strip, _split_cells(lines[0])))
+    width = len(names)
     header = None
-    rows = []
+    if not _all_ints(names):
+        header = names
+        lines = lines[1:]
+        if not lines:
+            raise ValueError("no count observations found")
+    joined = ",".join(lines)
+    if '"' in joined:
+        rows = list(map(_split_cells, lines))
+        ragged = set(map(len, rows)) != {width}
+        cells = list(chain.from_iterable(rows))
+    else:
+        ragged = set(map(str.count, lines, repeat(","))) != {width - 1}
+        cells = joined.split(",")
+    if ragged:
+        raise ValueError("a line has the wrong number of columns")
+    try:
+        values = list(map(int, cells))
+    except ValueError:
+        # int refuses some counts: a cell padded with whitespace it does not
+        # skip but strip removes (U+001F), and a literal past its digit limit
+        values = list(map(_to_int, map(str.strip, cells)))
+    # only a minus sign makes a literal negative
+    if "-" in joined and min(values) < 0 or max(values) > _MAX_COUNT:
+        raise ValueError("a count is negative or past 64 bits")
+    counts = [values[k::width] for k in range(width)]
+    return header, [*counts, list(map(sum, zip(*counts)))]
+
+
+def _scan(text: str, source: str) -> None:
+    """Raise :class:`TableParseError` at the first fault of the table.
+
+    Each line's cells are checked in order as :class:`CountVector` checks
+    them, so the first bad cell of the first bad line is the error; a
+    ragged or unsplittable line, or a table with no observations, is one
+    too.  Returns only if no line is at fault.
+    """
     width = None
+    found = False
     for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        cells = _split_cells(raw, source, lineno)
-        if width is None:
-            width = len(cells)
-            names = tuple(c.strip() for c in cells)
-            if not _all_ints(names):
-                header = names
-                continue
-        elif len(cells) != width:
-            raise TableParseError(
-                f"{source} line {lineno}: expected {width} columns, found {len(cells)}"
-            )
         try:
-            if checked:
-                # map converts lazily in cell order, so the first bad cell is
-                # reported, be it a bad literal or a bad count
-                row = CountVector(map(_to_int, map(str.strip, cells)))
-            else:
-                try:
-                    # int skips the whitespace strip removes; a cell where
-                    # the two differ is refused, and read below, stripped
-                    row = list(map(int, cells))
-                except ValueError:
-                    # int() refuses a literal past its digit limit as it
-                    # refuses text; only _to_int tells the two apart
-                    row = list(map(_to_int, map(str.strip, cells)))
-        except (ValueError, DmnError) as exc:
+            cells = _split_cells(raw)
+            if width is None:
+                width = len(cells)
+                if not _all_ints(tuple(map(str.strip, cells))):
+                    continue
+            elif len(cells) != width:
+                raise ValueError(f"expected {width} columns, found {len(cells)}")
+            # map converts lazily in cell order, so the first bad cell is
+            # reported, be it a bad literal or a bad count
+            CountVector(map(_to_int, map(str.strip, cells)))
+        except (ValueError, csv.Error) as exc:  # a DomainError is a ValueError
             raise TableParseError(f"{source} line {lineno}: {exc}") from exc
-        rows.append(row)
-    if not rows:
+        found = True
+    if not found:
         raise TableParseError(f"{source}: no count observations found")
-    return header, rows
 
 
-def _split_cells(raw: str, source: str, lineno: int) -> list[str]:
+def _split_cells(raw: str) -> list[str]:
     """The CSV cells of one line, unstripped.
 
     A line without a quote character splits on commas exactly as
-    ``csv.reader`` would split it; only quoted lines need the reader.
+    ``csv.reader`` would split it; only quoted lines need the reader, whose
+    :class:`csv.Error` is passed on.
     """
     if '"' not in raw:
         return raw.split(",")
-    try:
-        return next(csv.reader([raw]))
-    except csv.Error as exc:
-        raise TableParseError(f"{source} line {lineno}: {exc}") from exc
+    return next(csv.reader([raw]))
 
 
 def _all_ints(cells) -> bool:
@@ -321,9 +348,8 @@ def cmd_fit(args) -> int:
     init = None
     if args.alpha is not None:
         init = AlphaParams(_parse_numbers(args.alpha, "--alpha"))
-    result = fit_alpha_mle(
-        Dataset(table.rows), init=init, max_iter=args.max_iter, tol=args.tol
-    )
+    data = Dataset(_from_columns=table.columns)
+    result = fit_alpha_mle(data, init=init, max_iter=args.max_iter, tol=args.tol)
     names = table.column_names or tuple(
         str(i) for i in range(len(result.alpha_hat.alpha))
     )

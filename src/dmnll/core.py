@@ -19,16 +19,19 @@ shared walk per category, bit for bit equal to the per-row calls; the
 lgamma route evaluates each distinct count once in the same way.  That
 column pass exists once (``_column_states``): it walks each column, the
 K count columns and then the totals, over its distinct counts, and yields
-every row's state in it.  The table evaluator (``_loglik_columns``)
-takes a table as those columns, as the CLI parses it and a dataset
-keeps it, with no per-row objects; it zips its K + 1 columns of states
-into rows and merges each row's states.  Tables given as rows are
-checked row by row and transposed once (``_loglik_table``).  The
-gradient in ``dmnll.estimate`` reads its reciprocal sums from the same
-pass.  The table and the per-row sum-of-logs evaluators read the
-parameters and pick the route in one place (``_route``) and merge a
-row's states in one place (``_merge``); they differ only in where the
-states come from, a row's own walks or lookups into the shared ones.  A route is one walk: the
+one column per part of the states (sum and compensation on the
+sum-of-logs routes, one part on the lgamma route and in the gradient),
+holding every row's value of that part.  The table evaluator
+(``_loglik_columns``) takes a table as those columns, as the CLI parses
+it and a dataset keeps it, with no per-row objects; it zips its part
+columns into each row's parts and merges them with one ``fsum`` per row.
+Tables given as rows are checked row by row and transposed once
+(``_loglik_table``).  The gradient in ``dmnll.estimate`` reads its
+reciprocal sums from the same pass.  The table and the per-row
+sum-of-logs evaluators read the parameters and pick the route in one
+place (``_route``) and merge a row's states in one place (``_merge``);
+they differ only in where the states come from, a row's own walks or
+lookups into the shared ones.  A route is one walk: the
 denominator log Gamma(A + N) - log Gamma(A) is the same rising-factorial
 log sum as each category's numerator, started at A, so its states are the
 route's own walk, negated (``_denominator``).  The per-row lgamma call
@@ -51,7 +54,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -371,6 +374,11 @@ def _columns(rows: Sequence[CountVector]) -> list[Sequence[int]]:
     return [*zip(*(x.counts for x in rows)), [x.total for x in rows]]
 
 
+def _rows(columns: Sequence[Sequence[int]]) -> tuple[CountVector, ...]:
+    """The rows of checked ``columns``, the inverse of :func:`_columns`."""
+    return tuple(map(CountVector, zip(*columns[:-1])))
+
+
 # ---------------------------------------------------------------------------
 # Compensated summation primitive
 # ---------------------------------------------------------------------------
@@ -378,19 +386,21 @@ def _columns(rows: Sequence[CountVector]) -> list[Sequence[int]]:
 
 def _sum_terms(
     term, start: float, step: float, levels: Iterable[int], first: float | None = None
-) -> list[tuple[float, float]]:
+) -> tuple[list[float], list[float]]:
     """Neumaier-compensated prefix sums of term(start + j*step), j = 0, 1, ...
 
     Terms are accumulated in ascending j in one walk up to the largest level.
-    The running sum and its compensation ``(s, c)`` are recorded after the
-    first n terms for each n in ``levels`` (ascending; n = 0, or a lone
-    negative n, records ``(0.0, 0.0)``).  The walk does not depend on the
-    levels asked for, so the state recorded for n is bit for bit the state
-    of a walk of n terms alone.  Sum and compensation stay separate so
-    callers can merge partial sums without an intermediate rounding.
+    The running sum s and its compensation c are recorded after the first n
+    terms for each n in ``levels`` (ascending; n = 0, or a lone negative n,
+    records s = c = 0.0).  The walk does not depend on the levels asked
+    for, so the state recorded for n is bit for bit the state of a walk of
+    n terms alone.  Returns the state's two parts, each as a list with one
+    entry per level: the sums, then the compensations.  They stay separate
+    so callers can merge partial sums without an intermediate rounding.
     ``first``, when given, is the j = 0 term in place of term(start).
     """
-    states = []
+    sums = []
+    comps = []
     s = 0.0
     c = 0.0
     done = 0
@@ -408,29 +418,31 @@ def _sum_terms(
                 c += (t - total) + s
             s = total
         done = stop
-        states.append((s, c))
-    return states
+        sums.append(s)
+        comps.append(c)
+    return sums, comps
 
 
-def _sum_logs(start: float, levels: Iterable[int]) -> list[tuple[float, float]]:
+def _sum_logs(start: float, levels: Iterable[int]) -> tuple[list[float], list[float]]:
     """:func:`_sum_terms` of log(start + j) at each of ``levels``."""
     return _sum_terms(math.log, start, 1.0, levels)
 
 
 def _sum_phi_logs(
     phi: float, p_k: float, levels: Iterable[int]
-) -> list[tuple[float, float]]:
+) -> tuple[list[float], list[float]]:
     """:func:`_sum_terms` of log(p_k (1-phi) + j phi) at each of ``levels``.
 
     ``p_k == 0`` (a zero-probability category) makes every level above 0
-    ``(-inf, 0.0)``: the observed category is impossible.  When the product
+    s = -inf, c = 0.0: the observed category is impossible.  When the product
     p_k (1-phi) is subnormal, or underflows to 0, it has lost precision, so
     the first term is log(p_k) + log1p(-phi) instead of the log of the product.
     At p_k = 1 this is the denominator's walk, log((1-phi) + i phi).
     ``phi`` comes first, so that ``partial(_sum_phi_logs, phi)`` is a walk.
     """
     if p_k == 0.0:
-        return [(_NEG_INF, 0.0) if n > 0 else (0.0, 0.0) for n in levels]
+        sums = [_NEG_INF if n > 0 else 0.0 for n in levels]
+        return sums, [0.0] * len(sums)
     start = p_k * (1.0 - phi)
     if start >= _MIN_NORMAL:
         return _sum_terms(math.log, start, phi, levels)
@@ -458,39 +470,47 @@ def _lgamma_ratio(top: float, bottom: float) -> float:
         ) from exc
 
 
-def _lgamma_rises(a_k: float, levels: Iterable[int]) -> list[tuple[float]]:
+def _lgamma_rises(a_k: float, levels: Iterable[int]) -> tuple[list[float]]:
     """lgamma(a_k + n) - lgamma(a_k), the closed form of :func:`_sum_logs`'s
     log sum, as a one-part state at each n in ``levels``."""
-    return [(_lgamma_ratio(a_k + n, a_k),) for n in levels]
+    return ([_lgamma_ratio(a_k + n, a_k) for n in levels],)
 
 
-def _sum_recips(start: float, levels: Iterable[int]) -> list[float]:
-    """Compensated sums of 1/(start + j) for j < n, for each n in ``levels``."""
-    return [s + c for s, c in _sum_terms((1.0).__truediv__, start, 1.0, levels)]
+def _sum_recips(start: float, levels: Iterable[int]) -> tuple[list[float]]:
+    """Compensated sums of 1/(start + j) for j < n, as a one-part state at
+    each n in ``levels``."""
+    sums, comps = _sum_terms((1.0).__truediv__, start, 1.0, levels)
+    return ([s + c for s, c in zip(sums, comps)],)
 
 
-#: The state a ``-inf`` row reads where no walk covers it.
+#: The state a ``-inf`` row reads where no walk covers it, one value per
+#: part; a one-part walk's rows read the first.
 _NO_WALK = (_NEG_INF, 0.0)
 
 
 def _column_states(walks, columns: Sequence[Sequence[int]], skip=()) -> Iterator:
-    """Every row's state in each column, from one walk per column.
+    """Every row's state in each column, one column per part, from one walk
+    per column.
 
     The one column pass of the package.  ``columns`` are a table's K count
     columns, then its totals, and ``walks`` one walk for each:
-    ``walk(levels)`` returns the state at each of the ascending ``levels``.
-    Each column is walked once, over its distinct counts, and yields an
-    iterator of every row's state in row order: a row with count n reads
-    the state a walk of n terms alone would return, so a row merged from
-    its K + 1 states is bit for bit the row a per-row call evaluates.  Rows
-    in ``skip`` are left out of every walk; where no walk covers a skipped
-    row's count, it reads :data:`_NO_WALK`.
+    ``walk(levels)`` returns the parts of the state at each of the
+    ascending ``levels``, one list per part (the sum and the compensation
+    on the sum-of-logs routes, one part on the lgamma route and in the
+    gradient).  Each column is walked once, over its distinct counts, and
+    yields one iterator per part, of every row's value of that part in row
+    order: a row with count n reads the state a walk of n terms alone would
+    return, so a row merged from its parts in all K + 1 columns is bit for
+    bit the row a per-row call evaluates.  Rows in ``skip`` are left out of
+    every walk; where no walk covers a skipped row's count, it reads
+    :data:`_NO_WALK`.  A walk returns its parts even at no levels, so a
+    column whose rows are all skipped still yields every part.
     """
     for walk, column in zip(walks, columns):
         live = [n for r, n in enumerate(column) if r not in skip] if skip else column
         levels = sorted(set(live))
-        states = dict(zip(levels, walk(levels)))
-        yield map(states.get, column, repeat(_NO_WALK))
+        for part, default in zip(walk(levels), _NO_WALK):
+            yield map(dict(zip(levels, part)).get, column, repeat(default))
 
 
 # ---------------------------------------------------------------------------
@@ -525,21 +545,26 @@ def _route(params: AlphaLike | MeanPhiParams, method: Method):
 
 
 def _denominator(walk, den_start: float, levels: Iterable[int]) -> list[list[float]]:
-    """The denominator's states at ``levels``: ``walk(den_start, levels)``
-    with every part negated, which is exact.
+    """The denominator's states at ``levels``: ``walk(den_start, levels)``,
+    one list per part, with every value negated, which is exact.
 
     Only walked states are negated: a ``-inf`` row's placeholder
     (:data:`_NO_WALK`) is not, or its sum would be -inf + inf.
     """
-    return [[-v for v in state] for state in walk(den_start, levels)]
+    return [[-v for v in part] for part in walk(den_start, levels)]
 
 
 def _numerators(walk, starts: Sequence[float], counts: Sequence[int]) -> list[float]:
     """A row's numerator parts: each category's state from a walk of its own."""
     parts: list[float] = []
     for start, x_k in zip(starts, counts):
-        parts += walk(start, (x_k,))[0]
+        parts += _only(walk(start, (x_k,)))
     return parts
+
+
+def _only(parts: Iterable[list[float]]) -> list[float]:
+    """The parts of a state walked at a single level."""
+    return [value for (value,) in parts]
 
 
 def _ended(starts: Sequence[float], counts: Sequence[int]) -> int | None:
@@ -563,9 +588,9 @@ def _merge(rows: Iterable[Iterable[float]]) -> list[float]:
     """Each row's value: the ``math.fsum`` of its parts.
 
     A row's parts are its states' parts in order: on an evaluator's route,
-    its K + 1 states, the categories' numerators and then the negated
-    denominator.  This is the one NaN check the evaluators make on their
-    way to plain floats.
+    those of its K + 1 states, the categories' numerators and then the
+    negated denominator.  This is the one NaN check the evaluators make on
+    their way to plain floats.
     """
     values = list(map(math.fsum, rows))
     if any(map(math.isnan, values)):
@@ -581,7 +606,7 @@ def _walk_row(params: AlphaLike | MeanPhiParams, x: CountsLike, method: Method) 
     if ended is not None:
         return LogLikResult(_NEG_INF, method, ended)
     parts = _numerators(walk, starts, x.counts)
-    parts += _denominator(walk, den_start, (x.total,))[0]
+    parts += _only(_denominator(walk, den_start, (x.total,)))
     (value,) = _merge([parts])
     return LogLikResult(value, method, 2 * x.total if terms is None else terms)
 
@@ -600,12 +625,12 @@ def _loglik_columns(
 
     The columns go to :func:`_column_states` as they are: it walks each
     category once, up to its largest count, and the denominator once, up
-    to the largest total.  Its K + 1 columns of states are zipped into
-    rows once, and each row's states, flattened into one list of parts,
-    are merged as the per-row call merges them.  Only where a category
-    has probability 0 are rows read whole, to find the ``-inf`` rows; such
-    a row is left out of every walk, so no walk takes more logs (or lgamma
-    calls) than the per-row calls.
+    to the largest total.  Its columns, one per part of each of the K + 1
+    states, are zipped once into each row's parts, in the order the
+    per-row call lists them, and merged as it merges them.  Only where a
+    category has probability 0 are rows read whole, to find the ``-inf``
+    rows; such a row is left out of every walk, so no walk takes more logs
+    (or lgamma calls) than the per-row calls.
     """
     starts, walk, den_start, budget, terms = _route(params, method)
     _check_table(len(starts), columns, budget)
@@ -617,8 +642,7 @@ def _loglik_columns(
         }
     walks = [partial(walk, start) for start in starts]
     walks.append(partial(_denominator, walk, den_start))
-    states = zip(*_column_states(walks, columns, ended))
-    values = _merge(map(chain.from_iterable, states))
+    values = _merge(zip(*_column_states(walks, columns, ended)))
     costs = [terms] * len(totals) if terms is not None else [2 * n for n in totals]
     for r, n in ended.items():
         costs[r] = n
@@ -785,7 +809,7 @@ def log_multinomial_coef(x: CountsLike) -> float:
     x = _as_counts(x)
     _checked(len(x.counts), x)
     levels = sorted({x.total, *x.counts})
-    states = dict(zip(levels, _denominator(_sum_logs, 1.0, levels)))
+    states = dict(zip(levels, zip(*_denominator(_sum_logs, 1.0, levels))))
     parts = [-v for v in states[x.total]]
     for x_k in x.counts:
         parts += states[x_k]

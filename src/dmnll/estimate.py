@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,6 +56,7 @@ from .core import (
     _columns,
     _finite_fsum,
     _loglik_columns,
+    _rows,
     _sum_recips,
     dmn_loglik_exact,  # noqa: F401  perfbench/spans.py rebinds this name here
 )
@@ -108,30 +109,48 @@ class Dataset:
 
     ``columns`` holds the observations transposed once, as the fit and the
     table evaluator read them: the K count columns, then the totals.
+
+    ``_from_columns`` is the command line's way in: a parsed table's
+    columns, already checked, which are kept as they are.  Such a dataset
+    builds its ``observations`` only when they are first read.
     """
 
     observations: tuple[CountVector, ...]
     k: int
     columns: list = field(repr=False, compare=False)
 
-    def __init__(self, observations: Iterable[CountVector | Sequence[int]]):
-        obs = tuple(
-            o if isinstance(o, CountVector) else CountVector(o) for o in observations
-        )
-        if not obs:
-            raise DomainError("a dataset needs at least one observation")
-        k = len(obs[0].counts)
-        for i, o in enumerate(obs):
-            if len(o.counts) != k:
-                raise DimensionMismatchError(
-                    f"observation {i} has {len(o.counts)} categories, expected {k}"
-                )
-        object.__setattr__(self, "observations", obs)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "columns", _columns(obs))
+    def __init__(
+        self,
+        observations: Iterable[CountVector | Sequence[int]] = (),
+        *,
+        _from_columns: list | None = None,
+    ):
+        columns = _from_columns
+        if columns is None:
+            obs = tuple(
+                o if isinstance(o, CountVector) else CountVector(o) for o in observations
+            )
+            if not obs:
+                raise DomainError("a dataset needs at least one observation")
+            k = len(obs[0].counts)
+            for i, o in enumerate(obs):
+                if len(o.counts) != k:
+                    raise DimensionMismatchError(
+                        f"observation {i} has {len(o.counts)} categories, expected {k}"
+                    )
+            # stored where the cached property keeps its value, so the rows
+            # given are the rows read
+            self.__dict__["observations"] = obs
+            columns = _columns(obs)
+        object.__setattr__(self, "k", len(columns) - 1)
+        object.__setattr__(self, "columns", columns)
+
+    @cached_property
+    def observations(self) -> tuple[CountVector, ...]:
+        return _rows(self.columns)
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.columns[-1])
 
 
 @dataclass(frozen=True)

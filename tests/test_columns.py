@@ -4,7 +4,7 @@ builds no per-row ``CountVector`` on its way there."""
 
 import pytest
 
-from dmnll import MeanPhiParams, Method, cli, core, sample_dmn_dataset
+from dmnll import MeanPhiParams, Method, cli, core, estimate, sample_dmn_dataset
 from dmnll.core import MAX_TOTAL_COUNT
 
 M = MAX_TOTAL_COUNT
@@ -88,3 +88,72 @@ def test_loglik_builds_no_count_vector(tmp_path, capsys, flags, no_count_vectors
     out, err = capsys.readouterr()
     assert err == ""
     assert out.count("\n") == 300 + 2
+
+
+# p_1 = 0 and every row observes category 1: no walk covers any level, so
+# every column yields only the placeholder state of the -inf rows
+NO_WALK_PHI = MeanPhiParams((0.5, 0.0, 0.5), 0.1)
+
+
+@pytest.mark.parametrize(
+    "text", ["1,2,3\n0,1,0\n4,5,0\n0,7,2\n", "0,3,0\n"], ids=["four-rows", "one-row"]
+)
+def test_rows_that_no_walk_covers_match_the_per_row_calls(text, monkeypatch):
+    table = cli.parse_count_table(text)
+    walked = []
+    walk = core._sum_terms
+
+    def spy(*args, **kwargs):
+        walked.append(list(args[3]))
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_sum_terms", spy)
+    values, terms = core._loglik_columns(NO_WALK_PHI, table.columns, Method.PHI_FORM)
+    assert all(levels == [] for levels in walked)
+    expected = [core.dmn_loglik_phi(NO_WALK_PHI, x) for x in table.rows]
+    assert [v.hex() for v in values] == [r.value.hex() for r in expected]
+    assert terms == [r.terms for r in expected]
+    assert values == [float("-inf")] * len(table.rows)
+
+
+def test_gradient_bits_on_the_concentrated_table():
+    # the fit-concentrated benchmark table (seed 1); the bits are pinned
+    alpha = (10.0, 30.0, 60.0, 16.0, 44.0)
+    d = sample_dmn_dataset(alpha, 200, 1000, seed=1)
+    pinned = {
+        alpha: ["-0x1.6ac3789158670p+3", "0x1.816c2b62a7feap+3", "-0x1.0090561ff1284p+0",
+                "-0x1.aa9f826a4f6d2p+3", "0x1.a04c8ba94ebaap-1"],
+        (0.5, 2.0, 7.25, 1.0, 3.0): ["0x1.8fc6a13f07940p+10", "0x1.cc5fde7122265p+8",
+                                     "-0x1.26ca2ca24ea57p+8", "0x1.7500c3fa5b790p+9",
+                                     "0x1.5255b7c0abdcap+8"],
+    }
+    text = "".join(",".join(map(str, x.counts)) + "\n" for x in d.observations)
+    parsed = estimate.Dataset(_from_columns=cli.parse_count_table(text).columns)
+    for params, bits in pinned.items():
+        for data in (d, parsed):
+            assert [float(g).hex() for g in estimate.grad_loglik(params, data)] == bits
+
+
+def test_fit_on_a_dataset_from_columns_builds_no_rows(no_count_vectors):
+    table = cli.parse_count_table(TABLES[0])
+    d = estimate.Dataset(_from_columns=table.columns)
+    assert len(d) == 5 and d.k == 3
+    # the command's fit reads the columns only
+    estimate.fit_alpha_mle(d, max_iter=3)
+
+
+def test_fit_dataset_equality_and_repr_read_the_rows():
+    table = cli.parse_count_table(TABLES[0])
+    by_columns = estimate.Dataset(_from_columns=table.columns)
+    by_rows = estimate.Dataset(table.rows)
+    assert by_columns == by_rows and hash(by_columns) == hash(by_rows)
+    assert repr(by_columns) == repr(by_rows)
+    assert by_columns.observations == by_rows.observations
+
+
+def test_fit_builds_no_count_vector(tmp_path, capsys, no_count_vectors):
+    path = tmp_path / "t.csv"
+    path.write_text(TABLES[1])
+    assert cli.main(["fit", str(path), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and '"alpha_hat"' in out

@@ -3,6 +3,7 @@ shortcut and the split-based CSV parse give the results, or raise the
 errors, of the versions kept in ``conftest`` (every cell through the
 ``numbers.Integral`` check, every line through ``csv.reader``)."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmnll import CountVector
-from dmnll.cli import main, parse_count_table
+from dmnll.cli import TableParseError, main, parse_count_table
 from conftest import OldCountVector, old_parse_count_table
 
 
@@ -223,3 +224,54 @@ def test_parse_reports_the_first_error_in_row_order(text, line):
     expected = outcome(old_parse_count_table, text, "t.csv")
     assert expected[1].startswith(f"t.csv line {line}: ")
     assert outcome(parse_count_table, text, "t.csv") == expected
+
+
+# A 5000-digit literal, zero-padded to 7: int() refuses it (its digit limit
+# is 4300), so the whole table is converted again, cell by cell, stripped.
+PADDED_SEVEN = "0" * 4999 + "7"
+
+WHOLE_TABLE_CASES = {
+    "comments-and-blanks-between-rows": "a,b\n1,2\n# note\n\n  \n3,4\n\t\n #x\n5,6\n",
+    "empty-line-and-no-comment": "a,b\n1,2\n\n3,4\n",
+    "whitespace-line-and-no-comment": "1,2\n \x1f\n3,4\n",
+    "quoted-and-unquoted-rows": 'a,b\n"1",2\n3,4\n5," 6"\n7,8\n',
+    "hash-in-a-quoted-header-cell": '"#a",b\n1,2\n3,4\n',
+    "hash-in-a-quoted-last-header-cell": 'a,"#b"\n1,2\n',
+    "crlf-and-unit-separator-padding": "a,b\r\n1,\x1f2\x1f\r\n\x1f3,4\r\n",
+    "line-ending-in-a-comma": "a,b\n1,2\n3,4,\n",
+    "line-ending-in-a-comma-at-its-width": "a,b,c\n1,2,3\n4,5,\n",
+    "padded-literal-in-row-9000": "".join(
+        f"{PADDED_SEVEN if r == 8999 else r % 7},{r % 5}\n" for r in range(10_000)
+    ),
+    "ragged-line-in-a-quoted-table": 'a,b\n"1",2\n3,"4",5\n6,7\n',
+}
+
+
+def reference(text):
+    """:func:`old_parse_count_table`'s outcome, with no limit on the digits
+    ``int`` reads, so that it reads a padded literal as the parse does."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return outcome(old_parse_count_table, text, "t.csv")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("text", WHOLE_TABLE_CASES.values(), ids=WHOLE_TABLE_CASES.keys())
+def test_whole_table_parse_matches_reference(text):
+    assert outcome(parse_count_table, text, "t.csv") == reference(text)
+
+
+def test_whole_table_cases_reach_what_they_name():
+    padded = parse_count_table(WHOLE_TABLE_CASES["padded-literal-in-row-9000"])
+    assert padded.rows[8999].counts == (7, 4)
+    assert len(padded.rows) == 10_000
+    for name in ["line-ending-in-a-comma", "line-ending-in-a-comma-at-its-width",
+                 "ragged-line-in-a-quoted-table"]:
+        with pytest.raises(TableParseError, match="^t.csv line 3: "):
+            parse_count_table(WHOLE_TABLE_CASES[name], "t.csv")
+    table = parse_count_table(WHOLE_TABLE_CASES["hash-in-a-quoted-header-cell"])
+    assert table.column_names == ("#a", "b")
+    table = parse_count_table(WHOLE_TABLE_CASES["crlf-and-unit-separator-padding"])
+    assert [r.counts for r in table.rows] == [(1, 2), (3, 4)]
