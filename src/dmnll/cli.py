@@ -195,19 +195,13 @@ def _split_cells(raw: str) -> list[str]:
 
 
 def _all_ints(cells) -> bool:
-    for c in cells:
-        try:
-            int(c)
-        except ValueError:
-            # a literal past int()'s digit limit is a number all the same
-            if not re.fullmatch(_INT_LITERAL, c):
-                return False
-    return True
+    """Whether every stripped cell is an integer literal, of any length."""
+    return all(re.fullmatch(_INT_LITERAL, c) for c in cells)
 
 
 #: An integer literal as ``int`` reads a stripped cell: a sign, then
-#: (Unicode) decimal digits with single underscores between them.  Only
-#: cells ``int`` refuses are matched, so it is compiled on first use.
+#: (Unicode) decimal digits with single underscores between them.  It
+#: accepts what ``int`` accepts, and literals past ``int``'s digit limit.
 _INT_LITERAL = r"([+-]?)(\d+(?:_\d+)*)"
 
 

@@ -27,16 +27,15 @@ it and a dataset keeps it, with no per-row objects; it zips its part
 columns into each row's parts and merges them with one ``fsum`` per row.
 Tables given as rows are checked row by row and transposed once
 (``_loglik_table``).  The gradient in ``dmnll.estimate`` reads its
-reciprocal sums from the same pass.  The table and the per-row
-sum-of-logs evaluators read the parameters and pick the route in one
-place (``_route``) and merge a row's states in one place (``_merge``);
-they differ only in where the states come from, a row's own walks or
-lookups into the shared ones.  A route is one walk: the
+reciprocal sums from the same pass.  Every per-row call, on each of the
+three routes, is one row from walks of its own (``_walk_row``).  The
+table and the per-row evaluators read the parameters and pick the route
+in one place (``_route``) and merge a row's states in one place
+(``_merge``); they differ only in where the states come from, a row's
+own walks or lookups into the shared ones.  A route is one walk: the
 denominator log Gamma(A + N) - log Gamma(A) is the same rising-factorial
 log sum as each category's numerator, started at A, so its states are the
-route's own walk, negated (``_denominator``).  The per-row lgamma call
-takes its parts from the same helper (``_lgamma_ratio``) as the table's
-lgamma route.
+route's own walk, negated (``_denominator``).
 
 Numerical policy: every inner sum is accumulated in ascending index order
 with Neumaier compensation, and the per-category partial sums are merged
@@ -322,22 +321,17 @@ def _as_counts(x: CountsLike) -> CountVector:
     return x if isinstance(x, CountVector) else CountVector(x)
 
 
-def _sized(k_params: int, x: CountsLike) -> CountVector:
-    """``x`` as a :class:`CountVector` with K = ``k_params`` categories."""
+def _checked(
+    k_params: int, x: CountsLike, budget: float = MAX_TOTAL_COUNT
+) -> CountVector:
+    """``x`` as a :class:`CountVector` with K = ``k_params`` categories, its
+    total within ``budget``: the route's (:func:`_route`), which is
+    infinite on the lgamma route."""
     x = _as_counts(x)
     if k_params != len(x.counts):
         raise DimensionMismatchError(
             f"parameters have {k_params} categories, counts have {len(x.counts)}"
         )
-    return x
-
-
-def _checked(
-    k_params: int, x: CountsLike, budget: float = MAX_TOTAL_COUNT
-) -> CountVector:
-    """``x`` as a :class:`CountVector` with K = ``k_params`` categories, its
-    total within ``budget``."""
-    x = _sized(k_params, x)
     _check_budget(x.total, budget)
     return x
 
@@ -455,25 +449,20 @@ def _sum_phi_logs(
 _MULTINOMIAL_WALK = partial(_sum_phi_logs, 0.0)
 
 
-def _lgamma_ratio(top: float, bottom: float) -> float:
-    """lgamma(top) - lgamma(bottom): each part of the lgamma route is one.
+def _lgamma_rises(a_k: float, levels: Iterable[int]) -> tuple[list[float]]:
+    """lgamma(a_k + n) - lgamma(a_k), the closed form of :func:`_sum_logs`'s
+    log sum, as a one-part state at each n in ``levels``: the lgamma
+    route's walk, for a table's columns and a single row alike.
 
-    Both lgamma evaluators take every part from here, so a table's row and
-    the per-row call add up the same floats.
+    An lgamma that overflows a float is a :class:`DomainError`.
     """
     try:
-        return math.lgamma(top) - math.lgamma(bottom)
+        return ([math.lgamma(a_k + n) - math.lgamma(a_k) for n in levels],)
     except OverflowError as exc:
         raise DomainError(
             "lgamma overflows a float at these parameters; "
             "the exact route evaluates them"
         ) from exc
-
-
-def _lgamma_rises(a_k: float, levels: Iterable[int]) -> tuple[list[float]]:
-    """lgamma(a_k + n) - lgamma(a_k), the closed form of :func:`_sum_logs`'s
-    log sum, as a one-part state at each n in ``levels``."""
-    return ([_lgamma_ratio(a_k + n, a_k) for n in levels],)
 
 
 def _sum_recips(start: float, levels: Iterable[int]) -> tuple[list[float]]:
@@ -521,7 +510,9 @@ def _column_states(walks, columns: Sequence[Sequence[int]], skip=()) -> Iterator
 def _route(params: AlphaLike | MeanPhiParams, method: Method):
     """The walk that evaluates ``params`` by ``method``, and its budget.
 
-    The one place that tells the routes apart.  A route is one walk.
+    The one place that tells the routes apart, for the table evaluator and
+    every per-row call alike.  A route is one walk (:func:`_sum_logs`,
+    :func:`_lgamma_rises`, or :func:`_sum_phi_logs` at phi).
     Returns ``(starts, walk, den_start, budget, terms)``: category k's
     states at ``levels`` are ``walk(starts[k], levels)``, and the
     denominator's are the same walk from ``den_start``, negated by
@@ -695,13 +686,12 @@ def dmn_loglik_lgamma(alpha: AlphaLike, x: CountsLike) -> LogLikResult:
     lgamma(alpha_k)]`` with 2K + 2 lgamma calls.  This is the conventional
     O(K) route: cheap for huge counts, but it subtracts large nearly-equal
     lgamma values, so its absolute error grows with N.
+
+    Each ratio is a state of the lgamma route's walk, and the row is
+    merged as every route's row is, so a table evaluated on this route
+    gives each row this call's value bit for bit.  Any total is accepted.
     """
-    alpha = _as_alpha(alpha)
-    x = _sized(len(alpha.alpha), x)
-    # the parts and their order are those a table's row merges
-    parts = [_lgamma_ratio(a_k + x_k, a_k) for a_k, x_k in zip(alpha.alpha, x.counts)]
-    parts.append(_lgamma_ratio(alpha.sum_a, alpha.sum_a + x.total))
-    return LogLikResult(math.fsum(parts), Method.LOG_GAMMA, 2 * len(alpha.alpha) + 2)
+    return _walk_row(alpha, x, Method.LOG_GAMMA)
 
 
 def params_from_mean_phi(mp: MeanPhiParams) -> AlphaParams:
@@ -802,17 +792,17 @@ def log_multinomial_coef(x: CountsLike) -> float:
 
     log n! is sum_{j<n} log(1 + j), the exact route's walk at a = 1; its
     first term, log 1, adds an exact zero.  N and every x_k read one walk,
-    up to N, whose states :func:`_denominator` negates: each x_k! is
-    subtracted as a denominator is, and N!'s state is negated back, which
-    is exact.
+    up to N: N!'s state is added as it is, and each x_k!'s parts are
+    negated, which is exact.  The total is checked against
+    :data:`MAX_TOTAL_COUNT`.
     """
     x = _as_counts(x)
-    _checked(len(x.counts), x)
+    _check_budget(x.total, MAX_TOTAL_COUNT)
     levels = sorted({x.total, *x.counts})
-    states = dict(zip(levels, zip(*_denominator(_sum_logs, 1.0, levels))))
-    parts = [-v for v in states[x.total]]
+    states = dict(zip(levels, zip(*_sum_logs(1.0, levels))))
+    parts = list(states[x.total])
     for x_k in x.counts:
-        parts += states[x_k]
+        parts += [-v for v in states[x_k]]
     (value,) = _merge([parts])
     return value
 

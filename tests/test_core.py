@@ -299,6 +299,24 @@ class TestRows:
             assert str(batched.value) == str(per_row.value)
         assert walked == []
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            log_multinomial_coef,
+            lambda x: dmn_log_pmf((1.0,), x),
+            lambda x: mn_log_pmf((1.0,), x),
+        ],
+        ids=["log_multinomial_coef", "dmn_log_pmf", "mn_log_pmf"],
+    )
+    def test_coefficient_and_pmfs_check_the_budget_before_any_walk(self, walked, evaluate):
+        huge = CountVector([MAX_TOTAL_COUNT + 1])
+        with pytest.raises(ResourceLimitError) as per_row:
+            dmn_loglik_exact((1.0,), huge)
+        with pytest.raises(ResourceLimitError) as err:
+            evaluate(huge)
+        assert str(err.value) == str(per_row.value)
+        assert walked == []
+
     def test_no_walk_past_an_impossible_category(self, walked):
         # The per-row call ends the first row at its observed zero-probability
         # category, so no walk needs its second count.
