@@ -13,11 +13,18 @@ evaluator as they are, and ``dmnll fit`` builds its dataset from them,
 with no per-row objects.  Results are printed as CSV or canonical JSON
 (``--format``), to stdout or ``--out``.  Exit codes: 0 success,
 1 computation/domain error, 2 usage, parse or I/O error.
+
+The command line is read by :func:`parse_args` from one table of the
+commands, their positionals and their flags (``_COMMANDS``), which the
+``--help`` text reads too.  It accepts what argparse would accept for
+these flags and refuses the rest with argparse's message, as one
+``error:`` line, except that ``--flag=--`` gives the flag the value
+``--`` (argparse stored an empty list).  Not importing argparse, and the
+``gettext`` and ``locale`` it loads, saves every command a few ms.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import math
 import os
@@ -25,6 +32,7 @@ import re
 import sys
 from functools import cached_property
 from itertools import chain, repeat
+from types import SimpleNamespace
 
 from .core import (
     _MAX_COUNT,
@@ -408,67 +416,242 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that reports a bad command line as one ``error:``
-    line, exit 2, as every other usage error is reported.  Its subcommand
-    parsers are of this class too."""
+#: The flags every command has for its output.
+_OUTPUT_FLAGS = {
+    "--format": (str, ("csv", "json"), "csv", "output format"),
+    "--out": (str, None, None, "write the output to this path instead of stdout"),
+}
 
-    def error(self, message: str):
-        self.exit(EXIT_USAGE, f"error: {message}\n")
+#: Every command, as read by :func:`parse_args` and by the ``--help`` text:
+#: the function that runs it, its help, its one positional as (name,
+#: choices, help), and its flags, each as flag -> (converter, choices,
+#: default, help).  A flag's dest is its name without the leading dashes,
+#: with ``-`` read as ``_``.
+_COMMANDS = {
+    "loglik": (
+        cmd_loglik,
+        "per-row log-likelihood of a count table",
+        ("table", None, "counts CSV ('-' for stdin)"),
+        {
+            "--alpha": (str, None, None, "concentration parameters, comma-separated"),
+            "--p": (str, None, None, "category probabilities, comma-separated"),
+            "--phi": (float, None, None, "over-dispersion in [0, 1)"),
+            "--method": (
+                str,
+                ("exact", "lgamma", "phi"),
+                None,
+                "evaluation route (default: exact with --alpha, phi with --p/--phi)",
+            ),
+            **_OUTPUT_FLAGS,
+        },
+    ),
+    "fit": (
+        cmd_fit,
+        "maximum-likelihood fit of alpha from a count table",
+        ("table", None, "counts CSV ('-' for stdin)"),
+        {
+            "--alpha": (str, None, None, "initial concentration parameters (optional)"),
+            "--tol": (
+                float,
+                None,
+                DEFAULT_TOL,
+                "stop when no alpha_k moves by more than this, relative",
+            ),
+            "--max-iter": (int, None, DEFAULT_MAX_ITER, "stop after this many iterations"),
+            **_OUTPUT_FLAGS,
+        },
+    ),
+    "bench": (
+        cmd_bench,
+        "run an accuracy or runtime sweep",
+        ("experiment", ("accuracy", "runtime"), "the sweep to run"),
+        {
+            "--n": (str, None, None, "count multipliers, comma-separated"),
+            "--repeats": (
+                int,
+                None,
+                None,
+                "timing repeats of the runtime sweep, median taken "
+                "(the accuracy sweep times one call per point)",
+            ),
+            **_OUTPUT_FLAGS,
+        },
+    ),
+}
+
+_HELP_FLAGS = {"-h": None, "--help": None}
+
+#: A token that starts with a dash and is still a value: a negative number.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="dmnll",
-        description=(
-            "Dirichlet-multinomial log-likelihoods: exact sum-of-logs "
-            "evaluation, maximum-likelihood fitting, and benchmarks."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def parse_args(argv) -> SimpleNamespace:
+    """Read a command line (without the program name) by :data:`_COMMANDS`,
+    in the grammar argparse gives these flags.
 
-    def add_output_flags(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+    A flag takes its value as the next token or after ``=`` (even a
+    ``--``), and a long flag may be cut to a unique prefix.  ``--`` ends
+    the flags; ``-``, a negative number and a token with a space in it are
+    values, and any other token that starts with a dash is a flag.  The
+    last value of a flag wins.  ``-h``/``--help`` prints help on stdout and exits 0.  A
+    refused command line writes one ``error:`` line, in argparse's words,
+    and raises ``SystemExit(2)``.
+    """
+    argv = list(argv)
+    extras = []  # unknown flags and surplus values, refused at the end
+    i = 0
+    while i < len(argv) and argv[i] != "--" and (found := _read_flag(argv[i], _HELP_FLAGS)):
+        if found[0] is None:
+            extras.append(argv[i])
+        else:
+            _help(*found, None)
+        i += 1
+    if argv[i:] in ([], ["--"]):
+        _refuse("the following arguments are required: command")
+    command, *tokens = argv[i:]
+    _value("command", str, tuple(_COMMANDS), command)
+    run, _, (name, choices, _), options = _COMMANDS[command]
+    # every token up to "--" is read as a flag or a value before any value
+    # is taken, so an ambiguous prefix is refused first
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_read_flag(token, {**_HELP_FLAGS, **options}) for token in tokens[:end]]
+    kinds += ["--"] + [None] * len(tokens)  # past the end, "--" stands for no token
+    args = SimpleNamespace(command=command, **{name: None})
+    for flag, (_, _, default, _) in options.items():
+        setattr(args, _dest(flag), default)
+    pending = True  # the positional is still to come
+    i = 0
+    while i < len(tokens):
+        if kinds[i] is None or kinds[i] == "--":
+            # as in argparse, the positional takes the first "--" just
+            # before or after its value along with it
+            at = i + (i == end)
+            if pending and at < len(tokens):
+                setattr(args, name, _value(name, str, choices, tokens[at]))
+                pending = False
+                i = at + 1 + (at + 1 == end)
+                continue
+            extras.append(tokens[i])
+        elif kinds[i][0] is None:
+            extras.append(tokens[i])
+        else:
+            flag, value = kinds[i]
+            if flag in _HELP_FLAGS:
+                _help(flag, value, command)
+            if value is None:
+                if kinds[i + 1] is not None:  # a flag, "--" or no token at all
+                    _refuse(f"argument {flag}: expected one argument")
+                i += 1
+                value = tokens[i]
+            convert, flag_choices, _, _ = options[flag]
+            setattr(args, _dest(flag), _value(flag, convert, flag_choices, value))
+        i += 1
+    if pending:
+        _refuse(f"the following arguments are required: {name}")
+    if extras:
+        _refuse(f"unrecognized arguments: {' '.join(extras)}")
+    args.func = run
+    return args
 
-    p_ll = sub.add_parser("loglik", help="per-row log-likelihood of a count table")
-    p_ll.add_argument("table", help="counts CSV ('-' for stdin)")
-    p_ll.add_argument("--alpha", help="concentration parameters, comma-separated")
-    p_ll.add_argument("--p", help="category probabilities, comma-separated")
-    p_ll.add_argument("--phi", type=float, help="over-dispersion in [0, 1)")
-    p_ll.add_argument(
-        "--method",
-        choices=("exact", "lgamma", "phi"),
-        help="evaluation route (default: exact with --alpha, phi with --p/--phi)",
-    )
-    add_output_flags(p_ll)
-    p_ll.set_defaults(func=cmd_loglik)
 
-    p_fit = sub.add_parser("fit", help="maximum-likelihood fit of alpha from a count table")
-    p_fit.add_argument("table", help="counts CSV ('-' for stdin)")
-    p_fit.add_argument("--alpha", help="initial concentration parameters (optional)")
-    p_fit.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_fit.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    add_output_flags(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
+def _read_flag(token: str, flags) -> tuple | None:
+    """``None`` if ``token`` is a value, else ``(flag, joined value)``.
 
-    p_bench = sub.add_parser("bench", help="run an accuracy or runtime sweep")
-    p_bench.add_argument("experiment", choices=("accuracy", "runtime"))
-    p_bench.add_argument("--n", help="count multipliers, comma-separated")
-    p_bench.add_argument(
-        "--repeats",
-        type=int,
-        help="timing repeats of the runtime sweep, median taken "
-        "(the accuracy sweep times one call per point)",
-    )
-    add_output_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
+    ``flag`` is the flag of ``flags`` that ``token`` names, in full or by a
+    unique prefix, or ``None`` if it names none.  The joined value is what
+    follows the ``=`` of ``--flag=value`` or the ``-h`` of ``-hVALUE``, or
+    ``None``.
+    """
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return name, value
+    if token.startswith("--"):
+        matches = [f for f in flags if f.startswith(name)]
+        value = value if eq else None
+    else:
+        matches = [f for f in flags if f == token[:2]]
+        value = token[2:]
+    if len(matches) > 1:
+        _refuse(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
 
-    return parser
+
+def _value(name: str, convert, choices, text: str):
+    """``text`` converted, and checked against ``choices``, for ``name``."""
+    try:
+        value = convert(text)
+    except ValueError:
+        _refuse(f"argument {name}: invalid {convert.__name__} value: {text!r}")
+    if choices is not None and value not in choices:
+        listed = ", ".join(map(repr, choices))
+        _refuse(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+    return value
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _refuse(message: str):
+    """Refuse the command line as every usage error is reported: one
+    ``error:`` line, exit 2."""
+    sys.stderr.write(f"error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _help(flag: str, value: str | None, command: str | None):
+    """Print the help of ``command`` (of ``dmnll`` if ``None``) and exit 0.
+    A value joined to the help flag is refused; ``-hh`` is ``-h -h``."""
+    if flag == "-h" and value:
+        value = value.lstrip("h") or None
+    if value is not None:
+        _refuse(f"argument -h/--help: ignored explicit argument {value!r}")
+    sys.stdout.write(_help_text(command))
+    raise SystemExit(EXIT_OK)
+
+
+def _help_text(command: str | None) -> str:
+    """The ``--help`` text of ``dmnll``, or of one of its commands."""
+    if command is None:
+        lines = [
+            f"usage: dmnll [-h] {_choices(_COMMANDS)} ...",
+            "",
+            "Dirichlet-multinomial log-likelihoods: exact sum-of-logs evaluation,",
+            "maximum-likelihood fitting, and benchmarks.",
+            "",
+            "commands:",
+            *(f"  {name:<8}  {spec[1]}" for name, spec in _COMMANDS.items()),
+            "",
+            "Run 'dmnll COMMAND --help' for the flags of a command.",
+        ]
+        return "\n".join(lines) + "\n"
+    _, text, (name, choices, about), options = _COMMANDS[command]
+    positional = _choices(choices) if choices else name
+    rows = [(positional, about), ("-h, --help", "show this help and exit")]
+    for flag, (_, choices, default, about) in options.items():
+        metavar = _choices(choices) if choices else _dest(flag).upper()
+        if default is not None:
+            about = f"{about} (default: {default})"
+        rows.append((f"{flag} {metavar}", about))
+    lines = [f"usage: dmnll {command} [-h] {positional} [flags]", "", text, ""]
+    lines += [f"  {left:<27}  {right}" for left, right in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _choices(choices) -> str:
+    return "{" + ",".join(choices) + "}"
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -477,7 +660,6 @@ def main(argv=None) -> int:
     except DmnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-
 
 if __name__ == "__main__":
     sys.exit(main())

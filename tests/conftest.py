@@ -1,3 +1,4 @@
+import argparse
 import csv
 import itertools
 import math
@@ -9,9 +10,9 @@ import pytest
 
 from dmnll import AlphaParams, CountVector, DmnError, DomainError
 from dmnll.bench import REFERENCE_DPS
-from dmnll.cli import CountTable, TableParseError
+from dmnll.cli import EXIT_USAGE, CountTable, TableParseError, cmd_bench, cmd_fit, cmd_loglik
 from dmnll.core import _as_alpha, _checked
-from dmnll.estimate import ALPHA_FLOOR
+from dmnll.estimate import ALPHA_FLOOR, DEFAULT_MAX_ITER, DEFAULT_TOL
 
 
 @pytest.fixture
@@ -186,3 +187,64 @@ def _old_all_ints(cells):
     except ValueError:
         return False
     return True
+
+
+class OldParser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as one ``error:``
+    line, exit 2, as every other usage error is reported.  Its subcommand
+    parsers are of this class too."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
+def old_build_parser() -> argparse.ArgumentParser:
+    """``dmnll.cli``'s argparse parser, as it was before ``dmnll.cli.parse_args``:
+    the reference whose grammar and ``error:`` lines the new parser must match."""
+    parser = OldParser(
+        prog="dmnll",
+        description=(
+            "Dirichlet-multinomial log-likelihoods: exact sum-of-logs "
+            "evaluation, maximum-likelihood fitting, and benchmarks."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_output_flags(p):
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+
+    p_ll = sub.add_parser("loglik", help="per-row log-likelihood of a count table")
+    p_ll.add_argument("table", help="counts CSV ('-' for stdin)")
+    p_ll.add_argument("--alpha", help="concentration parameters, comma-separated")
+    p_ll.add_argument("--p", help="category probabilities, comma-separated")
+    p_ll.add_argument("--phi", type=float, help="over-dispersion in [0, 1)")
+    p_ll.add_argument(
+        "--method",
+        choices=("exact", "lgamma", "phi"),
+        help="evaluation route (default: exact with --alpha, phi with --p/--phi)",
+    )
+    add_output_flags(p_ll)
+    p_ll.set_defaults(func=cmd_loglik)
+
+    p_fit = sub.add_parser("fit", help="maximum-likelihood fit of alpha from a count table")
+    p_fit.add_argument("table", help="counts CSV ('-' for stdin)")
+    p_fit.add_argument("--alpha", help="initial concentration parameters (optional)")
+    p_fit.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_fit.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    add_output_flags(p_fit)
+    p_fit.set_defaults(func=cmd_fit)
+
+    p_bench = sub.add_parser("bench", help="run an accuracy or runtime sweep")
+    p_bench.add_argument("experiment", choices=("accuracy", "runtime"))
+    p_bench.add_argument("--n", help="count multipliers, comma-separated")
+    p_bench.add_argument(
+        "--repeats",
+        type=int,
+        help="timing repeats of the runtime sweep, median taken "
+        "(the accuracy sweep times one call per point)",
+    )
+    add_output_flags(p_bench)
+    p_bench.set_defaults(func=cmd_bench)
+
+    return parser

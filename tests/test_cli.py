@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 import types
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmnll import (
     DomainError,
@@ -20,8 +25,8 @@ from dmnll import (
     sample_dmn_dataset,
 )
 from dmnll.bench import canonical_json
-from dmnll.cli import main, parse_count_table, TableParseError
-from conftest import OldTailCounts
+from dmnll.cli import main, parse_args, parse_count_table, TableParseError
+from conftest import OldTailCounts, old_build_parser
 
 
 def run_cli(capsys, *argv):
@@ -646,3 +651,174 @@ def test_module_entry_point_exists():
     )
     assert proc.returncode == 0
     assert "loglik" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# command-line grammar: the same as argparse's, checked against it
+# ---------------------------------------------------------------------------
+
+
+def old_parse_args(argv):
+    return old_build_parser().parse_args(argv)
+
+
+#: The oracle is the running Python's argparse.  ``parse_args`` keeps the
+#: grammar argparse has on 3.10 to 3.12; 3.13 reads ``-hx`` as ``-h``.
+same_argparse = pytest.mark.skipif(
+    sys.version_info >= (3, 13), reason="argparse's grammar changed in Python 3.13"
+)
+
+
+def parse_outcome(parse, argv):
+    """What ``parse`` makes of ``argv``: ``("ok", values)`` without ``func``,
+    ``("help",)`` or ``("error", the one error line)``."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            values = dict(vars(parse(list(argv))))
+    except SystemExit as exc:
+        if exc.code == 0:
+            assert out.getvalue() != "" and err.getvalue() == ""
+            return ("help",)
+        assert exc.code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+        return ("error", err.getvalue())
+    assert out.getvalue() == err.getvalue() == ""
+    del values["func"]
+    return ("ok", values)
+
+
+#: Every flag of the three commands, help included.
+FLAGS = [
+    "--alpha", "--p", "--phi", "--method", "--format", "--out",
+    "--tol", "--max-iter", "--n", "--repeats", "-h", "--help",
+]
+#: Values: ones that start with a dash, bad ones, and every choice.
+VALUES = [
+    "-", "-1", "-0.5", "-1,2", "abc", "xml", "1,2", "", "a b", "-x y",
+    "t.csv", "3", "csv", "json", "exact", "phi", "accuracy", "runtime",
+]
+TOKENS = [
+    "loglik", "fit", "bench", *FLAGS, *(f"{f}={v}" for f in FLAGS for v in VALUES),
+    "--max", "--fo", "--ph", "--m", "--he", "-hh", "-hx", "--=x",
+    "--bogus", "-x", "--", *VALUES,
+]
+
+
+@same_argparse
+@given(
+    head=st.sampled_from(
+        [[], ["loglik"], ["fit"], ["bench"],
+         ["loglik", "t.csv"], ["fit", "t.csv"], ["bench", "accuracy"]]
+    ),
+    tail=st.lists(st.sampled_from(TOKENS), max_size=6),
+)
+@settings(max_examples=1000, deadline=None)
+def test_parser_reads_every_line_as_argparse_does(head, tail):
+    argv = head + tail
+    assert parse_outcome(parse_args, argv) == parse_outcome(old_parse_args, argv)
+
+
+#: Lines on which argparse's grammar has a corner: where ``--`` and a
+#: dash token fall, prefixes, help with a value, and the fault reported
+#: first when a line has several.
+GRAMMAR_LINES = [
+    ["loglik", "t.csv", "--alpha", "1,1", "--"],
+    ["loglik", "--alpha", "1,1", "t.csv", "--"],
+    ["loglik", "--alpha", "1,1", "--", "t.csv"],
+    ["loglik", "--alpha", "1,1", "--", "--", "--"],
+    ["loglik", "t.csv", "--", "--alpha", "1,1"],
+    ["loglik", "--", "-", "--alpha", "1,1"],
+    ["loglik", "-", "--alpha=1,1"],
+    ["--", "loglik", "t.csv"],
+    ["--"],
+    ["--bogus", "loglik", "t.csv", "--nope"],
+    ["-1", "loglik"],
+    ["bench", "accuracy", "--n", "-1"],
+    ["bench", "accuracy", "--n", "-1,2"],
+    ["bench", "accuracy", "--n=-1,2"],
+    ["bench", "accuracy", "--n", "-1, 2"],
+    ["loglik", "t.csv", "--phi", "-.5", "--p", "1"],
+    ["fit", "t.csv", "--max", "5", "--max-iter=7", "--to", "1e-3"],
+    ["fit", "t.csv", "--max-iter", "5", "--max-iter", "x"],
+    ["loglik", "t.csv", "--=x"],
+    ["loglik", "t.csv", "--format", "xml", "--p"],
+    ["loglik", "--format", "xml", "--="],
+    ["bench", "speed", "--n", "x", "extra"],
+    ["fit", "--out", "-h"],
+    ["-h", "nosuch"],
+    ["loglik", "-hh"],
+    ["loglik", "-hhx"],
+    ["fit", "-h="],
+    ["bench", "--help=x"],
+    ["--hel"],
+]
+
+
+@same_argparse
+@pytest.mark.parametrize(
+    "argv", GRAMMAR_LINES + BAD_COMMAND_LINES, ids=lambda argv: " ".join(argv) or "none"
+)
+def test_grammar_corner_is_read_as_argparse_reads_it(argv):
+    assert parse_outcome(parse_args, argv) == parse_outcome(old_parse_args, argv)
+
+
+@same_argparse
+@pytest.mark.parametrize("flag", ["--alpha", "--format", "--out", "--method", "--phi"])
+def test_a_double_dash_after_equals_is_the_flags_value(flag):
+    # argparse drops it and stores [], which --alpha and --out turned into a traceback
+    argv = ["loglik", "t.csv", f"{flag}=--"]
+    assert parse_outcome(old_parse_args, argv)[1][flag[2:]] == []
+    new = parse_outcome(parse_args, argv)
+    if flag in ("--format", "--method"):
+        assert new[1].startswith(f"error: argument {flag}: invalid choice: '--' ")
+    elif flag == "--phi":
+        assert new == ("error", "error: argument --phi: invalid float value: '--'\n")
+    else:
+        assert new[1][flag[2:]] == "--"
+
+
+def test_a_double_dash_alpha_is_a_usage_error(capsys, counts_file):
+    code, out, err = run_cli(capsys, "loglik", counts_file("1,2\n"), "--alpha=--")
+    assert (code, out, err) == (2, "", "error: --alpha expects comma-separated numbers, got '--'\n")
+
+
+COMMAND_HELP = {
+    "loglik": "per-row log-likelihood of a count table",
+    "fit": "maximum-likelihood fit of alpha from a count table",
+    "bench": "run an accuracy or runtime sweep",
+}
+
+
+def run_help(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (info.value.code, err) == (0, "")
+    return out
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_the_commands(capsys, flag):
+    out = run_help(capsys, [flag])
+    for command, text in COMMAND_HELP.items():
+        assert re.search(rf"^ +{command} +{re.escape(text)}$", out, re.M), out
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (
+            ["loglik", "--help"],
+            ["table", "--alpha", "--p", "--phi", "--method {exact,lgamma,phi}",
+             "--format {csv,json}", "--out"],
+        ),
+        (["fit", "-h"], ["table", "--alpha", "--tol", "--max-iter", "--format {csv,json}", "--out"]),
+        (["bench", "-h"], ["{accuracy,runtime}", "--n", "--repeats", "--format {csv,json}", "--out"]),
+    ],
+)
+def test_command_help_shows_every_flag_and_its_choices(capsys, argv, shown):
+    out = run_help(capsys, argv)
+    assert COMMAND_HELP[argv[0]] in out
+    for item in ["-h, --help", *shown]:
+        assert re.search(rf"^  {re.escape(item)}( |$)", out, re.M), (item, out)

@@ -46,3 +46,15 @@ def test_package_import_is_lazy_and_every_name_resolves():
         "[]",
         "True",
     ]
+
+
+def test_a_command_loads_no_argparse_gettext_or_locale(tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text("a,b\n1,2\n3,4\n")
+    out = run_fresh(
+        "import sys\n"
+        "from dmnll.cli import main\n"
+        f"code = main(['loglik', {str(table)!r}, '--alpha', '1,1'])\n"
+        "print(code, sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+    )
+    assert out.splitlines()[-1] == "0 []"
