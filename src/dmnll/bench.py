@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import gc
 import math
-import statistics
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
@@ -271,7 +270,16 @@ def _time_evaluations(calls, repeats: int, evals: int) -> list[int]:
     finally:
         if was_enabled:
             gc.enable()
-    return [max(int(statistics.median(own)), 1) for own in samples]
+    return [max(int(_median(own)), 1) for own in samples]
+
+
+def _median(values):
+    """The middle of ``values`` sorted, or the mean of the two middle ones:
+    ``statistics.median``, without importing ``statistics`` and, with it,
+    ``fractions`` and ``decimal``."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _sweep(cfg: ExperimentConfig, timed: bool) -> list[BenchRecord]:

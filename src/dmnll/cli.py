@@ -3,16 +3,19 @@
 Input count tables are UTF-8 CSV, one observation per row, integer cells,
 with an optional header row of category names; lines starting with ``#``
 are ignored.  A table is parsed whole, straight into columns, K count
-columns and their totals: its lines are split into cells at once, every
-cell is converted to an int by one ``map``, each count column is a slice
-of those ints, and the counts are checked all at once, for negatives and
-for 64 bits.  A table that fails anywhere is scanned again, each line's
-cells checked in order, so the error names the first bad cell in row
-order and its line.  ``dmnll loglik`` hands the columns to the table
-evaluator as they are, and ``dmnll fit`` builds its dataset from them,
-with no per-row objects.  Results are printed as CSV or canonical JSON
-(``--format``), to stdout or ``--out``.  Exit codes: 0 success,
-1 computation/domain error, 2 usage, parse or I/O error.
+columns and their totals.  Its lines are joined into one block of cells.
+A block that can hold only JSON integers (no quote, point, exponent,
+letter of a JSON literal or bracket) is decoded by one ``json.loads``;
+every other table, or one JSON refuses, has its cells split at once and
+converted by one ``map`` of ``int``, to the same ints.  Each count column
+is a slice of those ints, and the counts are checked all at once, for
+negatives and for 64 bits.  A table that fails anywhere is scanned
+again, each line's cells checked in order, so the error names the first
+bad cell in row order and its line.  ``dmnll loglik`` hands the columns
+to the table evaluator as they are, and ``dmnll fit`` builds its dataset
+from them, with no per-row objects.  Results are printed as CSV or
+canonical JSON (``--format``), to stdout or ``--out``.  Exit codes:
+0 success, 1 computation/domain error, 2 usage, parse or I/O error.
 
 The command line is read by :func:`parse_args` from one table of the
 commands, their positionals and their flags (``_COMMANDS``), which the
@@ -26,6 +29,7 @@ these flags and refuses the rest with argparse's message, as one
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import re
@@ -97,11 +101,14 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
     is an integer literal (even one too long for ``int``), in which case
     the table is treated as headerless.
 
-    The table is read whole, not line by line: its observation lines are
-    split into cells at once, every line's width is checked, all cells are
-    converted to ints by one ``map``, and the counts are checked for
-    negatives and for 64 bits at once.  A table that fails anywhere is
-    scanned again with every line's cells checked in order
+    The table is read whole, not line by line: every observation line's
+    width is checked, and all cells are converted to ints at once.  A table
+    whose cells can only be JSON integers is decoded by one ``json.loads``
+    (:func:`_json_ints`); any other, or one with a cell JSON refuses (a
+    leading zero, a ``+``, padding other than spaces and tabs), is split
+    into cells that one ``map`` of ``int`` converts.  The counts are then
+    checked for negatives and for 64 bits at once.  A table that fails
+    anywhere is scanned again with every line's cells checked in order
     (:func:`_scan`), so that the error names the first bad cell and its
     line, as a check row by row would.
     """
@@ -136,26 +143,54 @@ def _read_columns(lines: list[str]) -> tuple[tuple[str, ...] | None, list]:
         if not lines:
             raise ValueError("no count observations found")
     joined = ",".join(lines)
-    if '"' in joined:
+    quoted = '"' in joined
+    if quoted:
         rows = list(map(_split_cells, lines))
         ragged = set(map(len, rows)) != {width}
-        cells = list(chain.from_iterable(rows))
     else:
         ragged = set(map(str.count, lines, repeat(","))) != {width - 1}
-        cells = joined.split(",")
     if ragged:
         raise ValueError("a line has the wrong number of columns")
-    try:
-        values = list(map(int, cells))
-    except ValueError:
-        # int refuses some counts: a cell padded with whitespace it does not
-        # skip but strip removes (U+001F), and a literal past its digit limit
-        values = list(map(_to_int, map(str.strip, cells)))
+    values = _json_ints(joined, width * len(lines))
+    if values is None:
+        cells = list(chain.from_iterable(rows)) if quoted else joined.split(",")
+        try:
+            values = list(map(int, cells))
+        except ValueError:
+            # int refuses some counts: a cell padded with whitespace it does
+            # not skip but strip removes (U+001F), and a literal past its
+            # digit limit
+            values = list(map(_to_int, map(str.strip, cells)))
     # only a minus sign makes a literal negative
     if "-" in joined and min(values) < 0 or max(values) > _MAX_COUNT:
         raise ValueError("a count is negative or past 64 bits")
     counts = [values[k::width] for k in range(width)]
     return header, [*counts, list(map(sum, zip(*counts)))]
+
+
+#: What a block of cells must hold none of for JSON to read it as integers
+#: only: a string's quote, a float's point and exponent, the first letters
+#: of true, false, null, NaN and Infinity, and an array's or object's bracket.
+_NOT_JSON_INT = '".eEtfnNI[{'
+
+
+def _json_ints(joined: str, size: int) -> list[int] | None:
+    """The ``size`` ints of ``joined``, comma-separated cells, read by one
+    ``json.loads``; ``None`` if JSON cannot read them all as integers.
+
+    Where JSON reads a cell as an integer, ``int`` reads it too, as the
+    same value (``json`` calls ``int`` on the literal).  Some cells that
+    JSON refuses are counts all the same, which the caller reads with
+    ``int``: a leading zero, a ``+``, a ``_``, a non-ASCII digit, padding
+    other than spaces and tabs, and a literal past ``int``'s digit limit.
+    """
+    if any(map(joined.__contains__, _NOT_JSON_INT)):
+        return None
+    try:
+        values = json.loads(f"[{joined}]")
+    except ValueError:  # a JSONDecodeError, or a literal past the digit limit
+        return None
+    return values if len(values) == size else None
 
 
 def _scan(text: str, source: str) -> None:
@@ -603,8 +638,18 @@ def _dest(flag: str) -> str:
 def _refuse(message: str):
     """Refuse the command line as every usage error is reported: one
     ``error:`` line, exit 2."""
-    sys.stderr.write(f"error: {message}\n")
+    _report(message)
     raise SystemExit(EXIT_USAGE)
+
+
+#: Every line boundary of ``str.splitlines``, written as its escape.
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _report(message) -> None:
+    """Write ``message`` to stderr as one ``error:`` line: a line break in
+    it, from a token or a path, is written as its escape."""
+    sys.stderr.write(f"error: {str(message).translate(_LINE_BREAKS)}\n")
 
 
 def _help(flag: str, value: str | None, command: str | None):
@@ -655,10 +700,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return EXIT_USAGE
     except DmnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return EXIT_COMPUTE
 
 if __name__ == "__main__":

@@ -217,6 +217,17 @@ class TestExperiments:
                 assert r.abs_error == 0.0
                 assert r.wall_time_ns > 0
 
+    @pytest.mark.parametrize(
+        "samples",
+        [[7], [3, 1, 2], [5, 1, 4, 2], [9, 9, 1, 1], [2, 1], [4, 8, 15, 16, 23, 42],
+         [1_000_000_007, 3, 1_000_000_008, 5, 5], [0.5, 0.25, 0.125]],
+    )
+    def test_median_is_statistics_median(self, samples):
+        import statistics  # the oracle; dmnll.bench does not load it
+
+        assert bench._median(samples) == statistics.median(samples)
+        assert type(bench._median(samples)) is type(statistics.median(samples))
+
 
 class TestSerialization:
     def test_record_invariants(self):

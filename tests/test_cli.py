@@ -645,6 +645,36 @@ def test_argparse_error_is_one_error_line(capsys, argv):
     assert len(captured.err.splitlines()) == 1
 
 
+#: Every line boundary of ``str.splitlines``.
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+#: Command lines whose error echoes a token, a table path or an --out path
+#: holding the line break ``b``, under the directory ``d``.
+ECHOING_COMMAND_LINES = {
+    "token": lambda b, d: ["fit", "t.csv", f"-1{b}", "exact"],
+    "table": lambda b, d: ["loglik", str(d / f"no{b}such.csv"), "--alpha", "1,1"],
+    "out": lambda b, d: [
+        "loglik", str(d / "t.csv"), "--alpha", "1,1", "--out", str(d / "missing" / f"x{b}y")
+    ],
+}
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+@pytest.mark.parametrize("echoed", ECHOING_COMMAND_LINES)
+def test_a_line_break_in_an_echoed_token_or_path_is_escaped(capsys, tmp_path, echoed, brk):
+    (tmp_path / "t.csv").write_text("1,2\n3,4\n")
+    try:
+        code = main(ECHOING_COMMAND_LINES[echoed](brk, tmp_path))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert repr(brk)[1:-1] in captured.err
+
+
 def test_module_entry_point_exists():
     proc = subprocess.run(
         [sys.executable, "-m", "dmnll", "--help"], capture_output=True, text=True

@@ -27,6 +27,12 @@ def test_cli_import_loads_neither_bench_nor_mpmath():
     assert out.strip() == "[]"
 
 
+def test_bench_import_loads_no_statistics():
+    # statistics would load fractions and decimal for one median
+    out = run_fresh("import sys, dmnll.bench\nprint('statistics' in sys.modules)")
+    assert out.strip() == "False"
+
+
 def test_package_import_is_lazy_and_every_name_resolves():
     out = run_fresh(
         "import sys, dmnll\n"

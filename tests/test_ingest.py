@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmnll import CountVector
-from dmnll.cli import TableParseError, main, parse_count_table
+from dmnll.cli import TableParseError, _json_ints, main, parse_count_table
 from conftest import OldCountVector, old_parse_count_table
 
 
@@ -101,11 +101,17 @@ def test_plain_ints_are_kept_as_given():
 # ---------------------------------------------------------------------------
 
 
+#: Cells that JSON's grammar and int's read differently: JSON refuses the
+#: integer literals "00" and "+3" (among others), and reads the last eight
+#: bad cells as no integer.
 INT_TEXT = st.one_of(
     st.integers(min_value=-3, max_value=1 << 64).map(str),
-    st.sampled_from(["+3", "1_0", "007", "-0", "١٢", "５", "9" * 25]),
+    st.sampled_from(["+3", "1_0", "007", "00", "-0", "١٢", "５", "9" * 25]),
 )
-BAD_TEXT = st.sampled_from(["x", "", "1.5", "1 2", "1__0", "a,b", "²", "nan"])
+BAD_TEXT = st.sampled_from(
+    ["x", "", "1.5", "1 2", "1__0", "a,b", "²", "nan",
+     "1e3", "1.0", "true", "null", "NaN", "-Infinity", "[1]", "{}"]
+)
 PAD = st.sampled_from(["", " ", "\t", "  ", " ", " "])
 
 
@@ -230,6 +236,17 @@ def test_parse_reports_the_first_error_in_row_order(text, line):
 # is 4300), so the whole table is converted again, cell by cell, stripped.
 PADDED_SEVEN = "0" * 4999 + "7"
 
+# A literal JSON's grammar accepts and then refuses, as int() does, for
+# being past the digit limit.
+DIGITS_4301 = "9" * 4301
+
+
+def plain_table_ending_in(cell):
+    """A headerless table of 10 000 rows of plain digits whose last row
+    holds ``cell``: it fails the one-call decode only at its end."""
+    return "".join(f"{r % 7},{r % 5}\n" for r in range(9_999)) + f"3,{cell}\n"
+
+
 WHOLE_TABLE_CASES = {
     "comments-and-blanks-between-rows": "a,b\n1,2\n# note\n\n  \n3,4\n\t\n #x\n5,6\n",
     "empty-line-and-no-comment": "a,b\n1,2\n\n3,4\n",
@@ -244,6 +261,17 @@ WHOLE_TABLE_CASES = {
         f"{PADDED_SEVEN if r == 8999 else r % 7},{r % 5}\n" for r in range(10_000)
     ),
     "ragged-line-in-a-quoted-table": 'a,b\n"1",2\n3,"4",5\n6,7\n',
+    "space-and-tab-padded-cells": "a,b\n 1,2 \n\t3 , 4\t\n5,\t 6\n",
+    "4301-digit-cell-after-a-negative-count": f"a,b\n1,2\n-1,3\n{DIGITS_4301},4\n",
+    **{
+        f"last-row-cell-{name}": plain_table_ending_in(cell)
+        for name, cell in {
+            **{c: c for c in ["00", "1e3", "1.0", "true", "null", "NaN", "-Infinity",
+                              "[1]", "{}"]},
+            "space-and-tab-padded": " 7\t",
+            "unit-separator-padded": "7\x1f",
+        }.items()
+    },
 }
 
 
@@ -275,3 +303,12 @@ def test_whole_table_cases_reach_what_they_name():
     assert table.column_names == ("#a", "b")
     table = parse_count_table(WHOLE_TABLE_CASES["crlf-and-unit-separator-padding"])
     assert [r.counts for r in table.rows] == [(1, 2), (3, 4)]
+    # the one-call decode reads a padded plain table, and leaves every other
+    # last-row cell, and a literal past the digit limit, to int
+    for name, text in WHOLE_TABLE_CASES.items():
+        if name.startswith("last-row-cell-"):
+            decoded = _json_ints(",".join(text.splitlines()), 20_000)
+            assert (decoded is not None) == (name == "last-row-cell-space-and-tab-padded")
+    assert _json_ints(f"1,{DIGITS_4301}", 2) is None
+    padded = parse_count_table(WHOLE_TABLE_CASES["last-row-cell-space-and-tab-padded"])
+    assert padded.rows[-1].counts == (3, 7)
