@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import gc
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
@@ -46,6 +47,7 @@ from .core import (
     Method,
     _as_alpha,
     _as_counts,
+    _check_size,
     _checked,
     canonical_json,
     dmn_loglik_exact,
@@ -155,7 +157,9 @@ class ExperimentConfig:
     sweep; the accuracy sweep evaluates each grid point once, but they are
     validated for both.  So are the counts of the largest grid point: they
     must fit in 64 bits and within the evaluators' budget, so that no sweep
-    fails after it has run the points below it.
+    fails after it has run the points below it.  Every size must be an
+    integer (numpy's included); no size is truncated, and a bad one is a
+    :class:`DomainError`.
     """
 
     base_counts: CountVector
@@ -184,21 +188,25 @@ class ExperimentConfig:
             raise DomainError(
                 f"p has {len(mp.p)} categories, base_counts has {len(base.counts)}"
             )
-        grid = tuple(int(n) for n in n_values)
+        try:
+            grid = tuple(n_values)
+        except TypeError:
+            raise DomainError(f"n_values must be a sequence of integers, got {n_values!r}") from None
         if not grid:
             raise DomainError("n_values must not be empty")
-        if any(n < 0 for n in grid):
-            raise DomainError("n_values must be non-negative")
+        for n in grid:
+            _check_least("n_values", n, 0, "n_values must be non-negative")
         if any(b >= a for a, b in zip(grid[1:], grid)):
             raise DomainError("n_values must be strictly increasing")
-        if repeats < 3:
-            raise DomainError(f"repeats must be >= 3, got {repeats}")
-        if evaluations_per_point < 1:
-            raise DomainError("evaluations_per_point must be >= 1")
+        _check_least("repeats", repeats, 3, f"repeats must be >= 3, got {repeats}")
+        _check_least(
+            "evaluations_per_point", evaluations_per_point, 1, "evaluations_per_point must be >= 1"
+        )
         object.__setattr__(self, "base_counts", base)
         object.__setattr__(self, "p", mp.p)
         object.__setattr__(self, "phi", mp.phi)
-        object.__setattr__(self, "n_values", grid)
+        # every size is an integer now; int() makes numpy's plain, as records need
+        object.__setattr__(self, "n_values", tuple(map(int, grid)))
         object.__setattr__(self, "repeats", int(repeats))
         object.__setattr__(self, "evaluations_per_point", int(evaluations_per_point))
         _checked(len(base.counts), self.counts_at(grid[-1]))
@@ -208,6 +216,14 @@ class ExperimentConfig:
 
     def counts_at(self, n: int) -> CountVector:
         return CountVector(n * c for c in self.base_counts.counts)
+
+
+def _check_least(name: str, n, least: int, message: str) -> None:
+    """A size ``n`` must be an integer (:func:`dmnll.core._check_size`) and at
+    least ``least``; ``message`` is the error for an integer below it."""
+    if isinstance(n, numbers.Integral) and n < least:
+        raise DomainError(message)
+    _check_size(name, n)
 
 
 def accuracy_defaults(

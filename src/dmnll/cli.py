@@ -28,6 +28,7 @@ these flags and refuses the rest with argparse's message, as one
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -271,7 +272,8 @@ def _to_int(cell: str) -> int:
 
 
 def _read_table(path: str) -> CountTable:
-    """The table at ``path`` (``-`` for stdin), read as strict UTF-8."""
+    """The table at ``path`` (``-`` for stdin), read as strict UTF-8; a
+    leading byte order mark is dropped, so it cannot make a row a header."""
     source = "<stdin>" if path == "-" else path
     try:
         if path == "-":
@@ -279,7 +281,8 @@ def _read_table(path: str) -> CountTable:
         else:
             with open(path, "rb") as fh:
                 data = fh.read()
-        text = data.decode("utf-8")
+        # as the "utf-8-sig" codec reads it, without importing that codec
+        text = data.removeprefix(codecs.BOM_UTF8).decode("utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {source}: {exc}") from exc
     except UnicodeDecodeError as exc:

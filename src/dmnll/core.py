@@ -28,14 +28,16 @@ columns into each row's parts and merges them with one ``fsum`` per row.
 Tables given as rows are checked row by row and transposed once
 (``_loglik_table``).  The gradient in ``dmnll.estimate`` reads its
 reciprocal sums from the same pass.  Every per-row call, on each of the
-three routes, is one row from walks of its own (``_walk_row``).  The
-table and the per-row evaluators read the parameters and pick the route
-in one place (``_route``) and merge a row's states in one place
-(``_merge``); they differ only in where the states come from, a row's
-own walks or lookups into the shared ones.  A route is one walk: the
-denominator log Gamma(A + N) - log Gamma(A) is the same rising-factorial
-log sum as each category's numerator, started at A, so its states are the
-route's own walk, negated (``_denominator``).
+three routes, is one row from walks of its own (``_walk_row``): one
+helper (``_row_parts``) reads its K + 1 walks, or the multinomial
+kernel's K, at the row's one level, and lists the parts as a table row
+lists them.  The table and the per-row evaluators read the parameters
+and pick the route in one place (``_route``) and merge a row's states in
+one place (``_merge``); they differ only in where the states come from,
+a row's own walks or lookups into the shared ones.  A route is one walk:
+the denominator log Gamma(A + N) - log Gamma(A) is the same
+rising-factorial log sum as each category's numerator, started at A, so
+its states are the route's own walk, negated (``_denominator``).
 
 Numerical policy: every inner sum is accumulated in ascending index order
 with Neumaier compensation, and the per-category partial sums are merged
@@ -545,17 +547,10 @@ def _denominator(walk, den_start: float, levels: Iterable[int]) -> list[list[flo
     return [[-v for v in part] for part in walk(den_start, levels)]
 
 
-def _numerators(walk, starts: Sequence[float], counts: Sequence[int]) -> list[float]:
-    """A row's numerator parts: each category's state from a walk of its own."""
-    parts: list[float] = []
-    for start, x_k in zip(starts, counts):
-        parts += _only(walk(start, (x_k,)))
-    return parts
-
-
-def _only(parts: Iterable[list[float]]) -> list[float]:
-    """The parts of a state walked at a single level."""
-    return [value for (value,) in parts]
+def _row_parts(walk, starts: Sequence[float], levels: Sequence[int]) -> list[float]:
+    """A row's parts from walks of its own: the state of ``walk`` from each
+    start at its one level, listed as a table row lists them."""
+    return [value for start, n in zip(starts, levels) for (value,) in walk(start, (n,))]
 
 
 def _ended(starts: Sequence[float], counts: Sequence[int]) -> int | None:
@@ -596,8 +591,8 @@ def _walk_row(params: AlphaLike | MeanPhiParams, x: CountsLike, method: Method) 
     ended = _ended(starts, x.counts)
     if ended is not None:
         return LogLikResult(_NEG_INF, method, ended)
-    parts = _numerators(walk, starts, x.counts)
-    parts += _only(_denominator(walk, den_start, (x.total,)))
+    parts = _row_parts(walk, starts, x.counts)
+    parts += _row_parts(partial(_denominator, walk), (den_start,), (x.total,))
     (value,) = _merge([parts])
     return LogLikResult(value, method, 2 * x.total if terms is None else terms)
 
@@ -649,6 +644,10 @@ def _loglik_table(
     checks it, and the checked rows are transposed once into columns.
     """
     starts, _, _, budget, _ = _route(params, method)
+    try:
+        rows = iter(rows)
+    except TypeError:
+        raise DomainError(f"rows must be a sequence of count vectors, got {rows!r}") from None
     checked = [_checked(len(starts), x, budget) for x in rows]
     if not checked:
         return [], []
@@ -783,7 +782,7 @@ def mn_loglik_kernel(p: Sequence[float], x: CountsLike) -> float:
     if _ended(probs, x.counts) is not None:
         return _NEG_INF
     # at phi = 0 every denominator term is log(1) = 0: its state adds nothing
-    (value,) = _merge([_numerators(_MULTINOMIAL_WALK, probs, x.counts)])
+    (value,) = _merge([_row_parts(_MULTINOMIAL_WALK, probs, x.counts)])
     return value
 
 

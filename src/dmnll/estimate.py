@@ -127,9 +127,13 @@ class Dataset:
     ):
         columns = _from_columns
         if columns is None:
-            obs = tuple(
-                o if isinstance(o, CountVector) else CountVector(o) for o in observations
-            )
+            try:
+                rows = iter(observations)
+            except TypeError:
+                raise DomainError(
+                    f"observations must be a sequence of count vectors, got {observations!r}"
+                ) from None
+            obs = tuple(o if isinstance(o, CountVector) else CountVector(o) for o in rows)
             if not obs:
                 raise DomainError("a dataset needs at least one observation")
             k = len(obs[0].counts)
@@ -151,6 +155,11 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.columns[-1])
+
+
+def _as_dataset(d) -> Dataset:
+    """``d`` as a :class:`Dataset`: a dataset, or rows to build one from."""
+    return d if isinstance(d, Dataset) else Dataset(d)
 
 
 @dataclass(frozen=True)
@@ -176,8 +185,9 @@ class FitResult:
 
 
 def loglik_dataset(alpha: AlphaLike, d: Dataset) -> float:
-    """Log-likelihood of i.i.d. observations: the sum of per-row kernels."""
-    return math.fsum(_loglik_columns(alpha, d.columns, Method.EXACT)[0])
+    """Log-likelihood of i.i.d. observations, a :class:`Dataset` or its rows:
+    the sum of per-row kernels."""
+    return math.fsum(_loglik_columns(alpha, _as_dataset(d).columns, Method.EXACT)[0])
 
 
 def grad_loglik(alpha: AlphaLike, d: Dataset) -> np.ndarray:
@@ -193,11 +203,12 @@ def grad_loglik(alpha: AlphaLike, d: Dataset) -> np.ndarray:
     sum is subtracted from its sum in every category column, in row order,
     and each component merges its column of differences.  A component
     that overflows a float, as 1/alpha_k does for subnormal alpha_k, raises
-    :class:`DomainError`.  Like :func:`loglik_dataset`, it walks each
-    category up to its largest count, so a row past ``MAX_TOTAL_COUNT`` is
-    a :class:`ResourceLimitError`.
+    :class:`DomainError`.  Like :func:`loglik_dataset`, it takes a dataset
+    or its rows, and walks each category up to its largest count, so a row
+    past ``MAX_TOTAL_COUNT`` is a :class:`ResourceLimitError`.
     """
     alpha = _as_alpha(alpha)
+    d = _as_dataset(d)
     _check_table(len(alpha.alpha), d.columns)
     walks = [partial(_sum_recips, start) for start in (*alpha.alpha, alpha.sum_a)]
     *num, den = map(list, _column_states(walks, d.columns))
@@ -370,8 +381,7 @@ def fit_alpha_mle(
     observations are all empty, and for an ``init`` with an alpha_k below
     :data:`ALPHA_FLOOR`.
     """
-    if not isinstance(d, Dataset):
-        d = Dataset(d)
+    d = _as_dataset(d)
     if d.k == 1:
         raise DomainError(
             "single-category data has a constant likelihood; there is nothing to fit"

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from dmnll import (
@@ -151,6 +152,37 @@ class TestConfig:
             ExperimentConfig((1, 1, 1), (0.5, 0.5), 0.1)
         with pytest.raises(DomainError):
             ExperimentConfig((1, 1), (0.5, 0.5), 0.1, n_values=())
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ({"n_values": [0.5, 1.7]}, "n_values must be an integer, got 0.5"),
+            ({"n_values": "12"}, "n_values must be an integer, got '1'"),
+            ({"n_values": [1, math.nan]}, "n_values must be an integer, got nan"),
+            ({"n_values": None}, "n_values must be a sequence of integers, got None"),
+            ({"repeats": 3.9}, "repeats must be an integer, got 3.9"),
+            ({"repeats": "5"}, "repeats must be an integer, got '5'"),
+            ({"evaluations_per_point": None}, "evaluations_per_point must be an integer, got None"),
+            # an integer out of range keeps its message
+            ({"n_values": [-1, 2]}, "n_values must be non-negative"),
+            ({"repeats": -1}, "repeats must be >= 3, got -1"),
+            ({"evaluations_per_point": 0}, "evaluations_per_point must be >= 1"),
+        ],
+    )
+    def test_a_size_that_is_not_an_integer_is_a_domain_error(self, sizes, message):
+        # no size is truncated, and no bad one escapes as another error type
+        with pytest.raises(DomainError) as info:
+            ExperimentConfig((1, 1), (0.5, 0.5), 0.1, **sizes)
+        assert str(info.value) == message
+
+    def test_integer_sizes_are_kept_as_plain_ints(self):
+        cfg = ExperimentConfig(
+            (1, 1), (0.5, 0.5), 0.1, n_values=np.arange(1, 3), repeats=np.int64(3),
+            evaluations_per_point=np.int32(2),
+        )
+        assert (cfg.n_values, cfg.repeats, cfg.evaluations_per_point) == ((1, 2), 3, 2)
+        assert {type(n) for n in (*cfg.n_values, cfg.repeats, cfg.evaluations_per_point)} == {int}
+        json.loads(records_to_json(run_accuracy_experiment(cfg)))
 
     def test_largest_point_is_checked_at_construction(self):
         # counts of 2^62 sum to 2^64, past the budget; 2 * 2^62 is past 64 bits

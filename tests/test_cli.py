@@ -616,6 +616,27 @@ class TestInputOutput:
         assert from_stdin.stdout == from_file.stdout
         assert len(from_stdin.stdout.splitlines()) == 1 + 2 + 1
 
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    @pytest.mark.parametrize(
+        "text, columns",
+        [("1,2\n3,4\n", ["0", "1"]), ("a,b\n1,2\n3,4\n", ["a", "b"])],
+        ids=["headerless", "headed"],
+    )
+    def test_a_leading_byte_order_mark_is_not_read_as_table_text(
+        self, tmp_path, via, text, columns
+    ):
+        # Excel's "CSV UTF-8" starts with one; it must not make a row a header
+        data = b"\xef\xbb\xbf" + text.encode()
+        path = tmp_path / "bom.csv"
+        path.write_bytes(data)
+        table, stdin = ("-", data) if via == "stdin" else (str(path), b"")
+        loglik = run_dmnll("loglik", table, "--alpha", "1,1", stdin=stdin)
+        assert (loglik.returncode, loglik.stderr) == (0, b"")
+        assert len(loglik.stdout.splitlines()) == 1 + 2 + 1
+        fit = run_dmnll("fit", table, "--max-iter", "3", "--format", "json", stdin=stdin)
+        assert (fit.returncode, fit.stderr) == (0, b"")
+        assert json.loads(fit.stdout)["columns"] == columns
+
 
 #: Command lines argparse itself refuses, on each subcommand and on none.
 BAD_COMMAND_LINES = [

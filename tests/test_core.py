@@ -209,6 +209,30 @@ def test_nan_in_the_multinomial_coefficient_is_a_dmn_error(monkeypatch):
         log_multinomial_coef((1, 2))
 
 
+@pytest.mark.parametrize(
+    "evaluate, function",
+    [
+        (lambda x: dmn_loglik_exact((1.0, 2.0), x), "log"),
+        (lambda x: dmn_loglik_lgamma((1.0, 2.0), x), "lgamma"),
+        (lambda x: dmn_loglik_phi(MeanPhiParams((0.25, 0.75), 0.1), x), "log"),
+        (lambda x: mn_loglik_kernel((0.25, 0.75), x), "log"),
+        (log_multinomial_coef, "log"),
+        (lambda x: dmn_log_pmf((1.0, 2.0), x), "log"),
+    ],
+    ids=["exact", "lgamma", "phi", "mn_loglik_kernel", "log_multinomial_coef", "dmn_log_pmf"],
+)
+def test_nan_in_a_per_row_call_is_the_merge_error(monkeypatch, evaluate, function):
+    """Every per-row entry point merges its row once, and that merge turns a
+    NaN from ``math.log`` or ``math.lgamma`` into the one NaN error."""
+    fake = types.SimpleNamespace(**vars(math))
+    setattr(fake, function, lambda *args: math.nan)
+    monkeypatch.setattr(core, "math", fake)
+    with pytest.raises(DmnError) as info:
+        evaluate((1, 2))
+    assert type(info.value) is DmnError
+    assert str(info.value) == "internal error: NaN log-likelihood"
+
+
 # ---------------------------------------------------------------------------
 # dmn_loglik_exact
 # ---------------------------------------------------------------------------
@@ -270,6 +294,11 @@ def test_mean_phi_params_point_to_the_phi_form(evaluate):
 class TestRows:
     def test_empty_table(self):
         assert dmn_loglik_rows((1.0, 2.0), []) == []
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_rows_that_are_not_a_sequence_are_a_domain_error(self, rows):
+        with pytest.raises(DomainError, match="rows must be a sequence of count vectors"):
+            dmn_loglik_rows((1.0, 2.0), rows)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

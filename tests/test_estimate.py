@@ -40,6 +40,25 @@ class TestDataset:
         with pytest.raises(DimensionMismatchError):
             Dataset([(1, 2), (1, 2, 3)])
 
+    @pytest.mark.parametrize("observations", [None, 3])
+    def test_observations_that_are_not_a_sequence_are_a_domain_error(self, observations):
+        # as CountVector(None) is
+        match = "observations must be a sequence of count vectors"
+        with pytest.raises(DomainError, match=match):
+            Dataset(observations)
+        with pytest.raises(DomainError, match=match):
+            loglik_dataset((1.0, 2.0), observations)
+        with pytest.raises(DomainError, match=match):
+            grad_loglik((1.0, 2.0), observations)
+
+
+@pytest.mark.parametrize("rows", [[(1, 2), (3, 0), (0, 0)], ((1, 2), CountVector([3, 0]))])
+def test_dataset_functions_take_rows_as_a_dataset(rows):
+    # as fit_alpha_mle does
+    d = Dataset(rows)
+    assert loglik_dataset((1.5, 0.5), rows) == loglik_dataset((1.5, 0.5), d)
+    assert grad_loglik((1.5, 0.5), rows).tolist() == grad_loglik((1.5, 0.5), d).tolist()
+
 
 class TestLoglikDataset:
     def test_single_observation(self):
