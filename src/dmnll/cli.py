@@ -2,8 +2,9 @@
 
 Input count tables are UTF-8 CSV, one observation per row, integer cells,
 with an optional header row of category names; lines starting with ``#``
-are ignored.  A table is parsed whole, straight into columns, K count
-columns and their totals.  Its lines are joined into one block of cells.
+are ignored, and so is a leading byte order mark.  A table is parsed
+whole, straight into columns, K count columns and their totals.  Its
+lines are joined into one block of cells.
 A block that can hold only JSON integers (no quote, point, exponent,
 letter of a JSON literal or bracket) is decoded by one ``json.loads``;
 every other table, or one JSON refuses, has its cells split at once and
@@ -15,7 +16,8 @@ bad cell in row order and its line.  ``dmnll loglik`` hands the columns
 to the table evaluator as they are, and ``dmnll fit`` builds its dataset
 from them, with no per-row objects.  Results are printed as CSV or
 canonical JSON (``--format``), to stdout or ``--out``.  Exit codes:
-0 success, 1 computation/domain error, 2 usage, parse or I/O error.
+0 success, 1 computation/domain error, 2 usage, parse or I/O error, a
+failed write to stdout (a closed pipe, a full disk) included.
 
 The command line is read by :func:`parse_args` from one table of the
 commands, their positionals and their flags (``_COMMANDS``), which the
@@ -28,7 +30,6 @@ these flags and refuses the rest with argparse's message, as one
 
 from __future__ import annotations
 
-import codecs
 import csv
 import json
 import math
@@ -111,8 +112,10 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
     checked for negatives and for 64 bits at once.  A table that fails
     anywhere is scanned again with every line's cells checked in order
     (:func:`_scan`), so that the error names the first bad cell and its
-    line, as a check row by row would.
+    line, as a check row by row would.  A leading byte order mark is
+    dropped, so it cannot make a data row a header.
     """
+    text = text.removeprefix("\ufeff")
     lines = text.splitlines()
     # only a table that holds a blank or comment line pays for the filter
     if "#" in text or "" in lines or any(map(str.isspace, lines)):
@@ -272,8 +275,7 @@ def _to_int(cell: str) -> int:
 
 
 def _read_table(path: str) -> CountTable:
-    """The table at ``path`` (``-`` for stdin), read as strict UTF-8; a
-    leading byte order mark is dropped, so it cannot make a row a header."""
+    """The table at ``path`` (``-`` for stdin), read as strict UTF-8."""
     source = "<stdin>" if path == "-" else path
     try:
         if path == "-":
@@ -281,8 +283,7 @@ def _read_table(path: str) -> CountTable:
         else:
             with open(path, "rb") as fh:
                 data = fh.read()
-        # as the "utf-8-sig" codec reads it, without importing that codec
-        text = data.removeprefix(codecs.BOM_UTF8).decode("utf-8")
+        text = data.decode("utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {source}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -300,14 +301,37 @@ def _parse_numbers(text: str, flag: str, kind: type = float) -> tuple:
 
 
 def _emit(text: str, out: str | None, mode: str = "w") -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    """Write ``text`` to the file ``out``, or to stdout if ``None``: the one
+    writer of every output.  A failed write is a :class:`UsageError`; after
+    one on stdout, stdout's descriptor is pointed at ``os.devnull``, so that
+    the flush at exit cannot fail again."""
+    try:
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(out, mode, encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
+    except OSError as exc:
+        if out is not None:
             raise UsageError(f"cannot write {out}: {exc}") from exc
+        _drop_stdout()
+        raise UsageError(f"cannot write <stdout>: {exc}") from exc
+
+
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at ``os.devnull``, as the ``signal``
+    module's docs advise for a closed pipe; a stdout with none is left as
+    it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no descriptor, or a closed stream
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
 
 
 def _check_writable(out: str) -> None:
@@ -349,7 +373,7 @@ def _resolve_eval_params(args):
     return params_from_mean_phi(mp), method
 
 
-def cmd_loglik(args) -> int:
+def cmd_loglik(args) -> str:
     table = _read_table(args.table)
     params, method = _resolve_eval_params(args)
     values, terms = _loglik_columns(params, table.columns, Method(method))
@@ -363,13 +387,11 @@ def cmd_loglik(args) -> int:
             "rows": [{"row": i, "loglik": v, "terms": t} for i, (v, t) in rows],
             "total": total,
         }
-        _emit(canonical_json(payload), args.out)
-    else:
-        lines = ["row,loglik,terms"]
-        lines += [f"{i},{v!r},{t}" for i, (v, t) in rows]
-        lines.append(f"total,{total!r},{sum(terms)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        return canonical_json(payload)
+    lines = ["row,loglik,terms"]
+    lines += [f"{i},{v!r},{t}" for i, (v, t) in rows]
+    lines.append(f"total,{total!r},{sum(terms)}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +399,7 @@ def cmd_loglik(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> str:
     table = _read_table(args.table)
     if len(table.columns) == 2:  # one count column, and the totals
         # Unusable input rather than a failed computation.
@@ -404,19 +426,14 @@ def cmd_fit(args) -> int:
             "converged": result.converged,
             "floored": list(result.floored),
         }
-        _emit(canonical_json(payload), args.out)
-    else:
-        lines = ["field,value"]
-        lines += [
-            f"alpha_{name},{a!r}"
-            for name, a in zip(names, result.alpha_hat.alpha)
-        ]
-        lines.append(f"loglik,{result.loglik!r}")
-        lines.append(f"iterations,{result.iterations}")
-        lines.append(f"converged,{'true' if result.converged else 'false'}")
-        lines.append(f"floored,{';'.join(str(i) for i in result.floored)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        return canonical_json(payload)
+    lines = ["field,value"]
+    lines += [f"alpha_{name},{a!r}" for name, a in zip(names, result.alpha_hat.alpha)]
+    lines.append(f"loglik,{result.loglik!r}")
+    lines.append(f"iterations,{result.iterations}")
+    lines.append(f"converged,{'true' if result.converged else 'false'}")
+    lines.append(f"floored,{';'.join(str(i) for i in result.floored)}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +441,7 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> str:
     from . import bench  # imports mpmath, which only this command needs
 
     # looked up on the module now, so that a rebound name takes effect
@@ -445,8 +462,7 @@ def cmd_bench(args) -> int:
         _check_writable(args.out)
     records = sweep(cfg)
     serialize = bench.records_to_json if args.format == "json" else bench.records_to_csv
-    _emit(serialize(records), args.out)
-    return EXIT_OK
+    return serialize(records)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +547,8 @@ def parse_args(argv) -> SimpleNamespace:
     ``--``), and a long flag may be cut to a unique prefix.  ``--`` ends
     the flags; ``-``, a negative number and a token with a space in it are
     values, and any other token that starts with a dash is a flag.  The
-    last value of a flag wins.  ``-h``/``--help`` prints help on stdout and exits 0.  A
+    last value of a flag wins.  ``-h``/``--help`` prints help on stdout and
+    exits 0, or raises :class:`UsageError` if stdout cannot be written.  A
     refused command line writes one ``error:`` line, in argparse's words,
     and raises ``SystemExit(2)``.
     """
@@ -662,7 +679,7 @@ def _help(flag: str, value: str | None, command: str | None):
         value = value.lstrip("h") or None
     if value is not None:
         _refuse(f"argument -h/--help: ignored explicit argument {value!r}")
-    sys.stdout.write(_help_text(command))
+    _emit(_help_text(command), None)
     raise SystemExit(EXIT_OK)
 
 
@@ -699,15 +716,16 @@ def _choices(choices) -> str:
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        _emit(args.func(args), args.out)
     except UsageError as exc:
         _report(exc)
         return EXIT_USAGE
     except DmnError as exc:
         _report(exc)
         return EXIT_COMPUTE
+    return EXIT_OK
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -90,6 +92,24 @@ class TestParseTable:
         with pytest.raises(TableParseError, match="line 3"):
             parse_count_table("a,b\n1,2\n1,2,3\n")
 
+    def test_a_leading_byte_order_mark_is_dropped(self):
+        # the mark must not make the first data row a header
+        table = parse_count_table("\ufeff1,2\n3,4\n")
+        assert table.column_names is None
+        assert [r.counts for r in table.rows] == [(1, 2), (3, 4)]
+        table = parse_count_table("\ufeffa,b\n1,2\n")
+        assert table.column_names == ("a", "b")
+        assert [r.counts for r in table.rows] == [(1, 2)]
+        with pytest.raises(TableParseError, match="line 2: "):
+            parse_count_table("\ufeff1,2\n3,x\n")
+
+    def test_negative_literal_past_the_digit_limit_names_line(self):
+        with pytest.raises(TableParseError) as info:
+            parse_count_table("1,2\n-" + "9" * 5000 + ",3\n")
+        assert str(info.value) == (
+            "<input> line 2: counts must be non-negative, got a 5000-digit negative count"
+        )
+
 
 # ---------------------------------------------------------------------------
 # loglik
@@ -156,6 +176,13 @@ class TestLoglik:
             capsys, "loglik", path, "--alpha", "1,1", "--p", "0.5,0.5", "--phi", "0.1"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [["--p", "0.5,0.5"], ["--phi", "0.1"]], ids=["p", "phi"])
+    def test_p_and_phi_come_together(self, capsys, counts_file, flags):
+        path = counts_file("1,2\n3,4\n")
+        assert run_cli(capsys, "loglik", path, *flags) == (
+            2, "", "error: --p and --phi must be given together\n"
+        )
 
     def test_method_phi_requires_p(self, capsys, counts_file):
         path = counts_file("1,1\n")
@@ -636,6 +663,96 @@ class TestInputOutput:
         fit = run_dmnll("fit", table, "--max-iter", "3", "--format", "json", stdin=stdin)
         assert (fit.returncode, fit.stderr) == (0, b"")
         assert json.loads(fit.stdout)["columns"] == columns
+
+
+# ---------------------------------------------------------------------------
+# writing to stdout
+# ---------------------------------------------------------------------------
+
+#: Command lines that write to stdout, given a counts file.
+STDOUT_COMMANDS = {
+    "loglik": lambda table: ["loglik", table, "--alpha", "1,1"],
+    "fit": lambda table: ["fit", table],
+    "bench": lambda table: ["bench", "accuracy", "--n", "1"],
+    "help": lambda table: ["--help"],
+}
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose ``write`` or ``flush`` raises ``error``; it has no
+    file descriptor, as under a capture."""
+
+    def __init__(self, method, error):
+        super().__init__()
+        self.method, self.error = method, error
+
+    def write(self, text):
+        if self.method == "write":
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.error
+
+
+@pytest.mark.parametrize("command", STDOUT_COMMANDS)
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize(
+    "error",
+    [BrokenPipeError(errno.EPIPE, "Broken pipe"), OSError(errno.ENOSPC, "No space left")],
+    ids=["closed pipe", "full disk"],
+)
+def test_a_failed_stdout_write_is_one_usage_error(
+    capsys, monkeypatch, counts_file, command, method, error
+):
+    argv = STDOUT_COMMANDS[command](counts_file("1,2\n3,1\n"))
+    monkeypatch.setattr(sys, "stdout", FailingStdout(method, error))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write <stdout>: ")
+    assert len(err.splitlines()) == 1
+
+
+def run_into(stdout, argv, unbuffered):
+    """Run ``python -m dmnll`` with stdout on the descriptor ``stdout``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "dmnll", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+def assert_one_write_error(proc):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: cannot write <stdout>: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert b"Traceback" not in proc.stderr
+    assert b"Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", STDOUT_COMMANDS)
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_pipe_on_stdout_is_one_usage_error(counts_file, command, unbuffered):
+    argv = STDOUT_COMMANDS[command](counts_file("1,2\n3,1\n"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes
+    try:
+        proc = run_into(write_end, argv, unbuffered)
+    finally:
+        os.close(write_end)
+    assert_one_write_error(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", STDOUT_COMMANDS)
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_full_disk_on_stdout_is_one_usage_error(counts_file, command, unbuffered):
+    argv = STDOUT_COMMANDS[command](counts_file("1,2\n3,1\n"))
+    with open("/dev/full", "wb") as full:
+        assert_one_write_error(run_into(full, argv, unbuffered))
 
 
 #: Command lines argparse itself refuses, on each subcommand and on none.

@@ -169,6 +169,13 @@ class TestMeanPhiParams:
         with pytest.raises(DomainError):
             MeanPhiParams([1.2, -0.2], 0.1)
 
+    def test_rejects_no_categories(self):
+        with pytest.raises(DomainError, match="^a probability vector needs at least one category$"):
+            MeanPhiParams([], 0.1)
+
+    def test_len_is_the_number_of_categories(self):
+        assert len(MeanPhiParams((0.5, 0.5), 0.1)) == 2
+
 
 def test_loglik_result_rejects_nan():
     with pytest.raises(DmnError):
@@ -408,6 +415,15 @@ class TestMeanPhiMapping:
     def test_zero_probability_is_rejected(self):
         with pytest.raises(DomainError):
             params_from_mean_phi(MeanPhiParams((1.0, 0.0), 0.25))
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: params_from_mean_phi((0.5, 0.5)), lambda: dmn_loglik_phi((0.5, 0.5), (1, 1))],
+        ids=["params_from_mean_phi", "dmn_loglik_phi"],
+    )
+    def test_plain_tuple_is_rejected_naming_mean_phi_params(self, call):
+        with pytest.raises(DomainError, match="expects MeanPhiParams"):
+            call()
 
 
 class TestPhiForm:
