@@ -2,22 +2,23 @@
 
 Input count tables are UTF-8 CSV, one observation per row, integer cells,
 with an optional header row of category names; lines starting with ``#``
-are ignored, and so is a leading byte order mark.  A table is parsed
-whole, straight into columns, K count columns and their totals.  Its
-lines are joined into one block of cells.
-A block that can hold only JSON integers (no quote, point, exponent,
-letter of a JSON literal or bracket) is decoded by one ``json.loads``;
-every other table, or one JSON refuses, has its cells split at once and
-converted by one ``map`` of ``int``, to the same ints.  Each count column
-is a slice of those ints, and the counts are checked all at once, for
-negatives and for 64 bits.  A table that fails anywhere is scanned
-again, each line's cells checked in order, so the error names the first
-bad cell in row order and its line.  ``dmnll loglik`` hands the columns
-to the table evaluator as they are, and ``dmnll fit`` builds its dataset
-from them, with no per-row objects.  Results are printed as CSV or
-canonical JSON (``--format``), to stdout or ``--out``.  Exit codes:
-0 success, 1 computation/domain error, 2 usage, parse or I/O error, a
-failed write to stdout (a closed pipe, a full disk) included.
+are ignored, and so is a leading byte order mark.  A table has two
+readers.  One whose lines, joined into one block of cells, can hold only
+JSON integers (no quote, point, exponent, ``n``, ``N`` or bracket) is
+parsed whole, straight into columns, K count columns and their totals:
+one ``json.loads`` decodes the block, each count column is a slice of its
+ints, and the counts are checked all at once, for negatives and for 64
+bits.  ``dmnll loglik`` hands those columns to the table evaluator as they
+are, and ``dmnll fit`` builds its dataset from them, with no per-row
+objects.  Every other table, or one that decode refuses, is read line by
+line, each line's cells checked in order into one ``CountVector`` per
+row, so an error names the first bad cell in row order and its line.
+
+Results are printed as CSV or canonical JSON (``--format``), to stdout or
+``--out``.  Exit codes: 0 success, 1 computation/domain error, 2 usage,
+parse or I/O error, a failed write to stdout (a closed pipe, a full disk)
+included.  An ``error:`` line that stderr cannot take is lost, and the
+exit code is kept.
 
 The command line is read by :func:`parse_args` from one table of the
 commands, their positionals and their flags (``_COMMANDS``), which the
@@ -37,7 +38,7 @@ import os
 import re
 import sys
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from types import SimpleNamespace
 
 from .core import (
@@ -103,79 +104,64 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
     is an integer literal (even one too long for ``int``), in which case
     the table is treated as headerless.
 
-    The table is read whole, not line by line: every observation line's
-    width is checked, and all cells are converted to ints at once.  A table
-    whose cells can only be JSON integers is decoded by one ``json.loads``
-    (:func:`_json_ints`); any other, or one with a cell JSON refuses (a
-    leading zero, a ``+``, padding other than spaces and tabs), is split
-    into cells that one ``map`` of ``int`` converts.  The counts are then
-    checked for negatives and for 64 bits at once.  A table that fails
-    anywhere is scanned again with every line's cells checked in order
-    (:func:`_scan`), so that the error names the first bad cell and its
-    line, as a check row by row would.  A leading byte order mark is
-    dropped, so it cannot make a data row a header.
+    A table has two readers.  One whose cells can only be JSON integers is
+    read whole, straight into columns (:func:`_read_columns`): every line's
+    width is checked at once, one ``json.loads`` converts all its cells, and
+    the counts are checked for negatives and for 64 bits at once.  Every
+    other table, or one that reader refuses anywhere, is read line by line
+    (:func:`_scan`), each line's cells checked in order into one
+    :class:`CountVector` per row, so that an error names the first bad cell
+    and its line.  A leading byte order mark is dropped, so it cannot make
+    a data row a header.
     """
     text = text.removeprefix("\ufeff")
     lines = text.splitlines()
     # only a table that holds a blank or comment line pays for the filter
     if "#" in text or "" in lines or any(map(str.isspace, lines)):
         lines = [raw for raw in lines if (s := raw.strip()) and not s.startswith("#")]
-    try:
-        header, columns = _read_columns(lines)
-    except (ValueError, csv.Error) as exc:
-        _scan(text, source)  # raises at the first bad cell in row order
-        raise TableParseError(f"{source}: {exc}") from exc
+    read = _read_columns(lines)
+    if read is None:
+        return _scan(text, source)
+    header, columns = read
     return CountTable(columns=columns, column_names=header)
 
 
-def _read_columns(lines: list[str]) -> tuple[tuple[str, ...] | None, list]:
+def _read_columns(lines: list[str]) -> tuple[tuple[str, ...] | None, list] | None:
     """The header, if any, and the K count columns and their totals of a
-    table's content lines (no blank or comment line among them).
+    table's content lines (no blank or comment line among them), read by
+    one ``json.loads``; ``None`` for a table it does not read.
 
-    Any fault, a ragged line, a cell that is no count or an empty table,
-    raises :class:`ValueError` (or :class:`csv.Error`), without saying
-    where: :func:`_scan` finds that.
+    It reads a table whose every line has the header's width, whose cells
+    JSON reads as integers (:func:`_json_ints`) and whose counts are
+    non-negative and fit in 64 bits.  It raises nothing and says nothing of
+    where another table fails: :func:`_scan` reads and checks that one.
     """
     if not lines:
-        raise ValueError("no count observations found")
-    names = tuple(map(str.strip, _split_cells(lines[0])))
+        return None
+    try:
+        names = tuple(map(str.strip, _split_cells(lines[0])))
+    except csv.Error:
+        return None
     width = len(names)
     header = None
     if not _all_ints(names):
-        header = names
-        lines = lines[1:]
-        if not lines:
-            raise ValueError("no count observations found")
+        header, lines = names, lines[1:]
+    if not lines or set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
     joined = ",".join(lines)
-    quoted = '"' in joined
-    if quoted:
-        rows = list(map(_split_cells, lines))
-        ragged = set(map(len, rows)) != {width}
-    else:
-        ragged = set(map(str.count, lines, repeat(","))) != {width - 1}
-    if ragged:
-        raise ValueError("a line has the wrong number of columns")
     values = _json_ints(joined, width * len(lines))
-    if values is None:
-        cells = list(chain.from_iterable(rows)) if quoted else joined.split(",")
-        try:
-            values = list(map(int, cells))
-        except ValueError:
-            # int refuses some counts: a cell padded with whitespace it does
-            # not skip but strip removes (U+001F), and a literal past its
-            # digit limit
-            values = list(map(_to_int, map(str.strip, cells)))
     # only a minus sign makes a literal negative
-    if "-" in joined and min(values) < 0 or max(values) > _MAX_COUNT:
-        raise ValueError("a count is negative or past 64 bits")
+    if values is None or "-" in joined and min(values) < 0 or max(values) > _MAX_COUNT:
+        return None
     counts = [values[k::width] for k in range(width)]
     return header, [*counts, list(map(sum, zip(*counts)))]
 
 
 #: What a block of cells must hold none of for JSON to read it as integers
-#: only: a string's quote, a float's point and exponent, the first letters
-#: of true, false, null, NaN and Infinity, and an array's or object's bracket.
-_NOT_JSON_INT = '".eEtfnNI[{'
+#: only: a string's quote, a float's point and exponent (``e`` is also in
+#: true and false), ``n`` and ``N`` (in null, NaN and Infinity), and an
+#: array's or object's bracket.
+_NOT_JSON_INT = '".eEnN[{'
 
 
 def _json_ints(joined: str, size: int) -> list[int] | None:
@@ -184,9 +170,9 @@ def _json_ints(joined: str, size: int) -> list[int] | None:
 
     Where JSON reads a cell as an integer, ``int`` reads it too, as the
     same value (``json`` calls ``int`` on the literal).  Some cells that
-    JSON refuses are counts all the same, which the caller reads with
-    ``int``: a leading zero, a ``+``, a ``_``, a non-ASCII digit, padding
-    other than spaces and tabs, and a literal past ``int``'s digit limit.
+    JSON refuses are counts all the same, which :func:`_scan` reads: a
+    leading zero, a ``+``, a ``_``, a non-ASCII digit, padding other than
+    spaces and tabs, and a literal past ``int``'s digit limit.
     """
     if any(map(joined.__contains__, _NOT_JSON_INT)):
         return None
@@ -197,16 +183,17 @@ def _json_ints(joined: str, size: int) -> list[int] | None:
     return values if len(values) == size else None
 
 
-def _scan(text: str, source: str) -> None:
-    """Raise :class:`TableParseError` at the first fault of the table.
+def _scan(text: str, source: str) -> CountTable:
+    """The table read line by line, one :class:`CountVector` per row.
 
     Each line's cells are checked in order as :class:`CountVector` checks
-    them, so the first bad cell of the first bad line is the error; a
-    ragged or unsplittable line, or a table with no observations, is one
-    too.  Returns only if no line is at fault.
+    them, so the first bad cell of the first bad line raises
+    :class:`TableParseError`, naming the line; a ragged or unsplittable
+    line, or a table with no observations, is an error too.
     """
     width = None
-    found = False
+    header = None
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -215,18 +202,20 @@ def _scan(text: str, source: str) -> None:
             cells = _split_cells(raw)
             if width is None:
                 width = len(cells)
-                if not _all_ints(tuple(map(str.strip, cells))):
+                names = tuple(map(str.strip, cells))
+                if not _all_ints(names):
+                    header = names
                     continue
             elif len(cells) != width:
                 raise ValueError(f"expected {width} columns, found {len(cells)}")
             # map converts lazily in cell order, so the first bad cell is
             # reported, be it a bad literal or a bad count
-            CountVector(map(_to_int, map(str.strip, cells)))
+            rows.append(CountVector(map(_to_int, map(str.strip, cells))))
         except (ValueError, csv.Error) as exc:  # a DomainError is a ValueError
             raise TableParseError(f"{source} line {lineno}: {exc}") from exc
-        found = True
-    if not found:
+    if not rows:
         raise TableParseError(f"{source}: no count observations found")
+    return CountTable(rows=rows, column_names=header)
 
 
 def _split_cells(raw: str) -> list[str]:
@@ -302,29 +291,34 @@ def _parse_numbers(text: str, flag: str, kind: type = float) -> tuple:
 
 def _emit(text: str, out: str | None, mode: str = "w") -> None:
     """Write ``text`` to the file ``out``, or to stdout if ``None``: the one
-    writer of every output.  A failed write is a :class:`UsageError`; after
-    one on stdout, stdout's descriptor is pointed at ``os.devnull``, so that
-    the flush at exit cannot fail again."""
+    writer of every output.  A failed write is a :class:`UsageError`."""
     try:
         if out is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            _write(sys.stdout, text)
         else:
             with open(out, mode, encoding="utf-8", newline="") as fh:
                 fh.write(text)
     except OSError as exc:
-        if out is not None:
-            raise UsageError(f"cannot write {out}: {exc}") from exc
-        _drop_stdout()
-        raise UsageError(f"cannot write <stdout>: {exc}") from exc
+        raise UsageError(f"cannot write {'<stdout>' if out is None else out}: {exc}") from exc
 
 
-def _drop_stdout() -> None:
-    """Point stdout's descriptor at ``os.devnull``, as the ``signal``
-    module's docs advise for a closed pipe; a stdout with none is left as
-    it is."""
+def _write(stream, text: str) -> None:
+    """Write ``text`` to ``stream``, stdout or stderr, and flush it.  A
+    failed write is passed on, after the stream is dropped (:func:`_drop`)."""
     try:
-        fd = sys.stdout.fileno()
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        _drop(stream)
+        raise
+
+
+def _drop(stream) -> None:
+    """Point ``stream``'s descriptor at ``os.devnull``, as the ``signal``
+    module's docs advise for a closed pipe, so that the flush at exit cannot
+    fail again; a stream with none is left as it is."""
+    try:
+        fd = stream.fileno()
     except (OSError, ValueError):  # no descriptor, or a closed stream
         return
     null = os.open(os.devnull, os.O_WRONLY)
@@ -668,8 +662,12 @@ _LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x8
 
 def _report(message) -> None:
     """Write ``message`` to stderr as one ``error:`` line: a line break in
-    it, from a token or a path, is written as its escape."""
-    sys.stderr.write(f"error: {str(message).translate(_LINE_BREAKS)}\n")
+    it, from a token or a path, is written as its escape.  If stderr cannot
+    be written, the line is lost and the exit code alone reports the error."""
+    try:
+        _write(sys.stderr, f"error: {str(message).translate(_LINE_BREAKS)}\n")
+    except OSError:
+        pass
 
 
 def _help(flag: str, value: str | None, command: str | None):

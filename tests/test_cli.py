@@ -755,6 +755,68 @@ def test_a_full_disk_on_stdout_is_one_usage_error(counts_file, command, unbuffer
         assert_one_write_error(run_into(full, argv, unbuffered))
 
 
+# ---------------------------------------------------------------------------
+# writing the error line to stderr
+# ---------------------------------------------------------------------------
+
+#: Command lines that fail, given a counts file, and the exit code each asks
+#: for: a usage error, a domain error, and a failed write to stdout when
+#: stdout cannot be written either.
+FAILING_COMMANDS = {
+    "usage": (lambda table: ["loglik", "nosuch.csv", "--alpha", "1,1"], 2),
+    "domain": (
+        lambda table: ["loglik", table, "--p", "0.5,0.5", "--phi", "0", "--method", "exact"],
+        1,
+    ),
+    "stdout": (lambda table: ["loglik", table, "--alpha", "1,1"], 2),
+}
+
+
+@pytest.mark.parametrize("command", FAILING_COMMANDS)
+@pytest.mark.parametrize("method", ["write", "flush"])
+def test_a_failed_stderr_write_keeps_the_exit_code(monkeypatch, counts_file, command, method):
+    argv, code = FAILING_COMMANDS[command]
+    error = OSError(errno.ENOSPC, "No space left")
+    monkeypatch.setattr(sys, "stderr", FailingStdout(method, error))
+    if command == "stdout":
+        monkeypatch.setattr(sys, "stdout", FailingStdout(method, error))
+    assert main(argv(counts_file("1,2\n3,1\n"))) == code
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+def test_a_failed_stderr_write_keeps_a_refused_command_line_at_2(monkeypatch, method):
+    monkeypatch.setattr(sys, "stderr", FailingStdout(method, OSError(errno.ENOSPC, "No space")))
+    with pytest.raises(SystemExit) as info:
+        main(["--bogus"])
+    assert info.value.code == 2
+
+
+#: The same, with a command line refused, for a subprocess.
+SUBPROCESS_FAILURES = {**FAILING_COMMANDS, "refused": (lambda table: ["--bogus"], 2)}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "command, stdout",
+    [(c, s) for c in SUBPROCESS_FAILURES for s in ["pipe", "full"] if (c, s) != ("stdout", "pipe")],
+)
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_full_disk_on_stderr_keeps_the_exit_code(counts_file, command, stdout, unbuffered):
+    argv, code = SUBPROCESS_FAILURES[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dmnll", *argv(counts_file("1,2\n3,1\n"))],
+            stdout=full if stdout == "full" else subprocess.PIPE,
+            stderr=full,
+            env=env,
+        )
+    assert proc.returncode == code
+    assert proc.stdout in (None, b"")
+
+
 #: Command lines argparse itself refuses, on each subcommand and on none.
 BAD_COMMAND_LINES = [
     [],

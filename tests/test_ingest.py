@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmnll import CountVector
-from dmnll.cli import TableParseError, _json_ints, main, parse_count_table
+from dmnll.cli import (
+    TableParseError,
+    _json_ints,
+    _read_columns,
+    _scan,
+    main,
+    parse_count_table,
+)
 from conftest import OldCountVector, old_parse_count_table
 
 
@@ -267,7 +274,7 @@ WHOLE_TABLE_CASES = {
         f"last-row-cell-{name}": plain_table_ending_in(cell)
         for name, cell in {
             **{c: c for c in ["00", "1e3", "1.0", "true", "null", "NaN", "-Infinity",
-                              "[1]", "{}"]},
+                              "[1]", "{}", "false", "Infinity", "1E3"]},
             "space-and-tab-padded": " 7\t",
             "unit-separator-padded": "7\x1f",
         }.items()
@@ -312,3 +319,67 @@ def test_whole_table_cases_reach_what_they_name():
     assert _json_ints(f"1,{DIGITS_4301}", 2) is None
     padded = parse_count_table(WHOLE_TABLE_CASES["last-row-cell-space-and-tab-padded"])
     assert padded.rows[-1].counts == (3, 7)
+
+
+# ---------------------------------------------------------------------------
+# the two readers
+# ---------------------------------------------------------------------------
+
+PAD_JSON = st.sampled_from(["", " ", "\t", " \t", "  "])
+
+#: Spellings of a count JSON refuses and ``int`` reads, padding inside the
+#: quotes of a quoted cell, as CSV keeps it there.
+RESPELLINGS = {
+    "quoted": lambda n, a, b: f'"{a}{n}{b}"',
+    "plus": lambda n, a, b: f"{a}+{n}{b}",
+    "zero-padded": lambda n, a, b: f"{a}0{n}{b}",
+}
+
+
+@st.composite
+def json_table(draw):
+    """A table the one-call decode reads, and the same table with its cells
+    spelled as only the line scan reads them: ``(text, respelled)``."""
+    width = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, (1 << 63) - 1), min_size=width, max_size=width),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    spelling = RESPELLINGS[draw(st.sampled_from(sorted(RESPELLINGS)))]
+    lines, respelled = [], []
+    if draw(st.booleans()):
+        name = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
+        names = draw(st.lists(name, min_size=width, max_size=width))
+        header = ",".join(draw(PAD_JSON) + c + draw(PAD_JSON) for c in names)
+        lines.append(header)
+        respelled.append(header)
+    noise = st.sampled_from(["", " ", "\t", "# note", ' # "x",1e3', "#"])
+    for row in rows:
+        for _ in range(draw(st.integers(0, 1))):
+            line = draw(noise)
+            lines.append(line)
+            respelled.append(line)
+        pads = [(draw(PAD_JSON), draw(PAD_JSON)) for _ in row]
+        lines.append(",".join(f"{a}{n}{b}" for n, (a, b) in zip(row, pads)))
+        respelled.append(",".join(spelling(n, a, b) for n, (a, b) in zip(row, pads)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["", newline]))
+    return newline.join(lines) + end, newline.join(respelled) + end
+
+
+def as_lists(table):
+    return [list(column) for column in table.columns], table.column_names
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_table())
+def test_the_two_readers_agree(texts):
+    text, respelled = texts
+    content = [raw for raw in text.splitlines() if (s := raw.strip()) and not s.startswith("#")]
+    assert _read_columns(content) is not None  # the one-call decode reads it
+    scanned = as_lists(_scan(text, "<input>"))
+    assert as_lists(parse_count_table(text)) == scanned
+    assert as_lists(parse_count_table(respelled)) == scanned
