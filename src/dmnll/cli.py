@@ -7,18 +7,19 @@ readers.  One whose lines, joined into one block of cells, can hold only
 JSON integers (no quote, point, exponent, ``n``, ``N`` or bracket) is
 parsed whole, straight into columns, K count columns and their totals:
 one ``json.loads`` decodes the block, each count column is a slice of its
-ints, and the counts are checked all at once, for negatives and for 64
-bits.  ``dmnll loglik`` hands those columns to the table evaluator as they
-are, and ``dmnll fit`` builds its dataset from them, with no per-row
-objects.  Every other table, or one that decode refuses, is read line by
-line, each line's cells checked in order into one ``CountVector`` per
-row, so an error names the first bad cell in row order and its line.
+ints, and the counts are checked all at once for negatives, and for 64
+bits by their row totals, which bound them.  ``dmnll loglik`` hands those
+columns to the table evaluator as they are, and ``dmnll fit`` builds its
+dataset from them, with no per-row objects.  Every other table, or one
+that decode refuses, is read line by line, each line's cells checked in
+order into one ``CountVector`` per row, so an error names the first bad
+cell in row order and its line.
 
 Results are printed as CSV or canonical JSON (``--format``), to stdout or
 ``--out``.  Exit codes: 0 success, 1 computation/domain error, 2 usage,
 parse or I/O error, a failed write to stdout (a closed pipe, a full disk)
-included.  An ``error:`` line that stderr cannot take is lost, and the
-exit code is kept.
+and a closed stdin or stdout included.  An ``error:`` line that stderr
+cannot take is lost, and the exit code is kept.
 
 The command line is read by :func:`parse_args` from one table of the
 commands, their positionals and their flags (``_COMMANDS``), which the
@@ -32,6 +33,7 @@ these flags and refuses the rest with argparse's message, as one
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 import os
@@ -107,11 +109,11 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
     A table has two readers.  One whose cells can only be JSON integers is
     read whole, straight into columns (:func:`_read_columns`): every line's
     width is checked at once, one ``json.loads`` converts all its cells, and
-    the counts are checked for negatives and for 64 bits at once.  Every
-    other table, or one that reader refuses anywhere, is read line by line
-    (:func:`_scan`), each line's cells checked in order into one
-    :class:`CountVector` per row, so that an error names the first bad cell
-    and its line.  A leading byte order mark is dropped, so it cannot make
+    the counts are checked for negatives at once, and for 64 bits by their
+    row totals.  Every other table, or one that reader refuses anywhere, is
+    read line by line (:func:`_scan`), each line's cells checked in order
+    into one :class:`CountVector` per row, so that an error names the first
+    bad cell and its line.  A leading byte order mark is dropped, so it cannot make
     a data row a header.
     """
     text = text.removeprefix("\ufeff")
@@ -133,8 +135,11 @@ def _read_columns(lines: list[str]) -> tuple[tuple[str, ...] | None, list] | Non
 
     It reads a table whose every line has the header's width, whose cells
     JSON reads as integers (:func:`_json_ints`) and whose counts are
-    non-negative and fit in 64 bits.  It raises nothing and says nothing of
-    where another table fails: :func:`_scan` reads and checks that one.
+    non-negative and fit in 64 bits.  The totals are summed first: a
+    non-negative count is at most its row's total, so the cells are checked
+    for 64 bits only when a total is past them.  It raises nothing and says
+    nothing of where another table fails: :func:`_scan` reads and checks
+    that one.
     """
     if not lines:
         return None
@@ -151,10 +156,15 @@ def _read_columns(lines: list[str]) -> tuple[tuple[str, ...] | None, list] | Non
     joined = ",".join(lines)
     values = _json_ints(joined, width * len(lines))
     # only a minus sign makes a literal negative
-    if values is None or "-" in joined and min(values) < 0 or max(values) > _MAX_COUNT:
+    if values is None or "-" in joined and min(values) < 0:
         return None
     counts = [values[k::width] for k in range(width)]
-    return header, [*counts, list(map(sum, zip(*counts)))]
+    totals = list(map(sum, zip(*counts)))
+    # a non-negative count is at most its row's total, so only a table with
+    # a total past 64 bits has its cells checked for 64 bits
+    if max(totals) > _MAX_COUNT and max(values) > _MAX_COUNT:
+        return None
+    return header, [*counts, totals]
 
 
 #: What a block of cells must hold none of for JSON to read it as integers
@@ -264,11 +274,12 @@ def _to_int(cell: str) -> int:
 
 
 def _read_table(path: str) -> CountTable:
-    """The table at ``path`` (``-`` for stdin), read as strict UTF-8."""
+    """The table at ``path`` (``-`` for stdin), read as strict UTF-8; a
+    closed stdin cannot be read, as a file that cannot be opened."""
     source = "<stdin>" if path == "-" else path
     try:
         if path == "-":
-            data = sys.stdin.buffer.read()
+            data = _open_stream(sys.stdin).buffer.read()
         else:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -302,9 +313,20 @@ def _emit(text: str, out: str | None, mode: str = "w") -> None:
         raise UsageError(f"cannot write {'<stdout>' if out is None else out}: {exc}") from exc
 
 
+def _open_stream(stream):
+    """``stream``, one of Python's standard streams, if it is open.  Python
+    makes it ``None`` when its descriptor was closed at start; reading or
+    writing that is an ``OSError``, as it is for a closed descriptor."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return stream
+
+
 def _write(stream, text: str) -> None:
     """Write ``text`` to ``stream``, stdout or stderr, and flush it.  A
-    failed write is passed on, after the stream is dropped (:func:`_drop`)."""
+    failed write, or a closed stream (:func:`_open_stream`), is passed on,
+    after an open stream is dropped (:func:`_drop`)."""
+    _open_stream(stream)
     try:
         stream.write(text)
         stream.flush()
@@ -371,19 +393,19 @@ def cmd_loglik(args) -> str:
     table = _read_table(args.table)
     params, method = _resolve_eval_params(args)
     values, terms = _loglik_columns(params, table.columns, Method(method))
-    rows = enumerate(zip(values, terms))
+    rows = zip(range(len(values)), values, terms)
     total = math.fsum(values)
 
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "method": method,
-            "rows": [{"row": i, "loglik": v, "terms": t} for i, (v, t) in rows],
+            "rows": [{"row": i, "loglik": v, "terms": t} for i, v, t in rows],
             "total": total,
         }
         return canonical_json(payload)
     lines = ["row,loglik,terms"]
-    lines += [f"{i},{v!r},{t}" for i, (v, t) in rows]
+    lines += [f"{i},{v!r},{t}" for i, v, t in rows]
     lines.append(f"total,{total!r},{sum(terms)}")
     return "\n".join(lines) + "\n"
 

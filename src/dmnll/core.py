@@ -21,10 +21,13 @@ column pass exists once (``_column_states``): it walks each column, the
 K count columns and then the totals, over its distinct counts, and yields
 one column per part of the states (sum and compensation on the
 sum-of-logs routes, one part on the lgamma route and in the gradient),
-holding every row's value of that part.  The table evaluator
-(``_loglik_columns``) takes a table as those columns, as the CLI parses
-it and a dataset keeps it, with no per-row objects; it zips its part
-columns into each row's parts and merges them with one ``fsum`` per row.
+holding every row's value of that part.  A part column is read in one C
+call: the walk's states of that part go into a dict keyed by count, and
+one ``operator.itemgetter`` of the column's counts reads every row's
+value from it.  The table evaluator (``_loglik_columns``) takes a table
+as those columns, as the CLI parses it and a dataset keeps it, with no
+per-row objects; it zips its part columns into each row's parts and
+merges them with one ``fsum`` per row.
 Tables given as rows are checked row by row and transposed once
 (``_loglik_table``).  The gradient in ``dmnll.estimate`` reads its
 reciprocal sums from the same pass.  Every per-row call, on each of the
@@ -32,12 +35,12 @@ three routes, is one row from walks of its own (``_walk_row``): one
 helper (``_row_parts``) reads its K + 1 walks, or the multinomial
 kernel's K, at the row's one level, and lists the parts as a table row
 lists them.  The table and the per-row evaluators read the parameters
-and pick the route in one place (``_route``) and merge a row's states in
-one place (``_merge``); they differ only in where the states come from,
-a row's own walks or lookups into the shared ones.  A route is one walk:
-the denominator log Gamma(A + N) - log Gamma(A) is the same
-rising-factorial log sum as each category's numerator, started at A, so
-its states are the route's own walk, negated (``_denominator``).
+and pick the route in one place (``_route``) and merge a row's parts with
+one ``math.fsum`` (``_merge``, for a table); they differ only in where the
+states come from, a row's own walks or lookups into the shared ones.  A
+route is one walk: the denominator log Gamma(A + N) - log Gamma(A) is the
+same rising-factorial log sum as each category's numerator, started at A,
+so its states are the route's own walk, negated (``_denominator``).
 
 Numerical policy: every inner sum is accumulated in ascending index order
 with Neumaier compensation, and the per-category partial sums are merged
@@ -55,7 +58,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import repeat
+from operator import itemgetter, neg
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -489,19 +492,32 @@ def _column_states(walks, columns: Sequence[Sequence[int]], skip=()) -> Iterator
     ascending ``levels``, one list per part (the sum and the compensation
     on the sum-of-logs routes, one part on the lgamma route and in the
     gradient).  Each column is walked once, over its distinct counts, and
-    yields one iterator per part, of every row's value of that part in row
+    yields one tuple per part, of every row's value of that part in row
     order: a row with count n reads the state a walk of n terms alone would
     return, so a row merged from its parts in all K + 1 columns is bit for
-    bit the row a per-row call evaluates.  Rows in ``skip`` are left out of
-    every walk; where no walk covers a skipped row's count, it reads
-    :data:`_NO_WALK`.  A walk returns its parts even at no levels, so a
-    column whose rows are all skipped still yields every part.
+    bit the row a per-row call evaluates.
+
+    A part is read as one dict from each walked count to its state, and one
+    ``operator.itemgetter(*column)`` call reads every row's state from it,
+    in C, not one lookup per row in Python.  Rows in ``skip`` are left out
+    of every walk; where no walk covers a skipped row's count, ``setdefault``
+    puts :data:`_NO_WALK`'s state of that part under it before the read,
+    and a skipped row whose count a live row shares reads the walked state,
+    as a lookup with a default would.  A one-row column yields a one-entry
+    tuple.  A walk returns its parts even at no levels, so a column whose
+    rows are all skipped still yields every part.
     """
     for walk, column in zip(walks, columns):
         live = [n for r, n in enumerate(column) if r not in skip] if skip else column
         levels = sorted(set(live))
+        read = itemgetter(*column)
         for part, default in zip(walk(levels), _NO_WALK):
-            yield map(dict(zip(levels, part)).get, column, repeat(default))
+            states = dict(zip(levels, part))
+            for r in skip:
+                states.setdefault(column[r], default)
+            values = read(states)
+            # an itemgetter of one key returns that key's value, not a tuple
+            yield values if len(column) > 1 else (values,)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +560,7 @@ def _denominator(walk, den_start: float, levels: Iterable[int]) -> list[list[flo
     Only walked states are negated: a ``-inf`` row's placeholder
     (:data:`_NO_WALK`) is not, or its sum would be -inf + inf.
     """
-    return [[-v for v in part] for part in walk(den_start, levels)]
+    return [list(map(neg, part)) for part in walk(den_start, levels)]
 
 
 def _row_parts(walk, starts: Sequence[float], levels: Sequence[int]) -> list[float]:
@@ -575,8 +591,9 @@ def _merge(rows: Iterable[Iterable[float]]) -> list[float]:
 
     A row's parts are its states' parts in order: on an evaluator's route,
     those of its K + 1 states, the categories' numerators and then the
-    negated denominator.  This is the one NaN check the evaluators make on
-    their way to plain floats.
+    negated denominator.  This is the NaN check of the table evaluator, the
+    multinomial kernel and the coefficient, whose values are plain floats;
+    a per-row call's value is checked by its :class:`LogLikResult`.
     """
     values = list(map(math.fsum, rows))
     if any(map(math.isnan, values)):
@@ -585,7 +602,10 @@ def _merge(rows: Iterable[Iterable[float]]) -> list[float]:
 
 
 def _walk_row(params: AlphaLike | MeanPhiParams, x: CountsLike, method: Method) -> LogLikResult:
-    """One row from walks of its own; a ``-inf`` row takes none."""
+    """One row from walks of its own; a ``-inf`` row takes none.
+
+    The row's parts are summed by ``math.fsum``, as :func:`_merge` sums a
+    table row's, and :class:`LogLikResult` makes the one NaN check."""
     starts, walk, den_start, budget, terms = _route(params, method)
     x = _checked(len(starts), x, budget)
     ended = _ended(starts, x.counts)
@@ -593,8 +613,7 @@ def _walk_row(params: AlphaLike | MeanPhiParams, x: CountsLike, method: Method) 
         return LogLikResult(_NEG_INF, method, ended)
     parts = _row_parts(walk, starts, x.counts)
     parts += _row_parts(partial(_denominator, walk), (den_start,), (x.total,))
-    (value,) = _merge([parts])
-    return LogLikResult(value, method, 2 * x.total if terms is None else terms)
+    return LogLikResult(math.fsum(parts), method, 2 * x.total if terms is None else terms)
 
 
 def _loglik_columns(

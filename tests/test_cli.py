@@ -755,6 +755,31 @@ def test_a_full_disk_on_stdout_is_one_usage_error(counts_file, command, unbuffer
         assert_one_write_error(run_into(full, argv, unbuffered))
 
 
+def run_closed(fd, argv):
+    """Run ``python -m dmnll`` with descriptor ``fd`` (0 or 1) closed, as
+    ``<&-`` or ``>&-`` leaves it: Python then makes that stream ``None``."""
+    return subprocess.run(
+        [sys.executable, "-m", "dmnll", *argv],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE if fd == 0 else None,
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: os.close(fd),
+    )
+
+
+def test_a_closed_stdin_is_one_usage_error():
+    proc = run_closed(0, ["loglik", "-", "--alpha", "1,1"])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: cannot read <stdin>: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", STDOUT_COMMANDS)
+def test_a_closed_stdout_is_one_usage_error(counts_file, command):
+    assert_one_write_error(run_closed(1, STDOUT_COMMANDS[command](counts_file("1,2\n3,1\n"))))
+
+
 # ---------------------------------------------------------------------------
 # writing the error line to stderr
 # ---------------------------------------------------------------------------

@@ -229,6 +229,11 @@ def tables_with_params(draw):
 @example(case=([[1, 0], [2, 3], [0, 4], [1, 0]], [1.0, 2.0], [5e-324, 1.0], 0.5))
 @example(case=([[1, 0], [3, 1], [0, 0]], [0.5, 3.0], [3e-320, 1.0], 0.9))
 @example(case=([[2, 2], [1, 0]], [1.5, 1.5], [1e-310, 1.0], 0.0))
+# one row: each part column holds one state
+@example(case=([[4, 0, 7]], [0.5, 2.0, 3.0], [1, 1, 2], 0.2))
+# a -inf row (it observes p_1 = 0) whose counts 2 and 3 and total 6 are
+# also live rows' counts and total: it reads the walked states there
+@example(case=([[2, 0, 4], [2, 1, 3], [0, 0, 3]], [1.0, 2.0, 3.0], [1, 0, 2], 0.3))
 @settings(max_examples=200, deadline=None)
 def test_rows_match_per_row_calls_bitwise(case):
     """The shared-pass evaluator returns, row for row, the per-row call's
@@ -381,6 +386,8 @@ def _lgamma_formula(alpha, x):
 @example(case=([[0, 1], [5, 0]], [1.0, 2.6e305]))
 # lgamma overflows on the totals only
 @example(case=([[1, 1]], [2e305, 2e305]))
+# one row: each part column holds one state
+@example(case=([[4, 0, 7]], [0.5, 2.0, 3.0]))
 @settings(max_examples=200, deadline=None)
 def test_lgamma_table_matches_per_row_calls_bitwise(case):
     """The table evaluator's lgamma route returns, row for row, the per-row

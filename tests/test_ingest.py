@@ -270,6 +270,9 @@ WHOLE_TABLE_CASES = {
     "ragged-line-in-a-quoted-table": 'a,b\n"1",2\n3,"4",5\n6,7\n',
     "space-and-tab-padded-cells": "a,b\n 1,2 \n\t3 , 4\t\n5,\t 6\n",
     "4301-digit-cell-after-a-negative-count": f"a,b\n1,2\n-1,3\n{DIGITS_4301},4\n",
+    # every count fits in 64 bits, and the totals of rows 2 and 3 do not
+    "totals-past-64-bits": f"a,b\n1,2\n{(1 << 63) - 1},1\n{(1 << 63) - 1},{(1 << 63) - 1}\n",
+    "count-of-2-to-the-63": f"a,b\n1,2\n{(1 << 63) - 1},{1 << 63}\n",
     **{
         f"last-row-cell-{name}": plain_table_ending_in(cell)
         for name, cell in {
@@ -319,6 +322,15 @@ def test_whole_table_cases_reach_what_they_name():
     assert _json_ints(f"1,{DIGITS_4301}", 2) is None
     padded = parse_count_table(WHOLE_TABLE_CASES["last-row-cell-space-and-tab-padded"])
     assert padded.rows[-1].counts == (3, 7)
+    # totals past 64 bits are the one-call decode's; a count past them is
+    # the line scan's, which names its line
+    big = (1 << 63) - 1
+    read = _read_columns(WHOLE_TABLE_CASES["totals-past-64-bits"].splitlines())
+    assert read == (("a", "b"), [[1, big, big], [2, 1, big], [3, big + 1, 2 * big]])
+    text = WHOLE_TABLE_CASES["count-of-2-to-the-63"]
+    assert _read_columns(text.splitlines()) is None
+    with pytest.raises(TableParseError, match=f"^t.csv line 3: count {1 << 63} does not fit"):
+        _scan(text, "t.csv")
 
 
 # ---------------------------------------------------------------------------
