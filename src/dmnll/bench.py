@@ -32,7 +32,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import mpmath
 
@@ -49,6 +49,7 @@ from .core import (
     _as_counts,
     _check_size,
     _checked,
+    _iterate,
     canonical_json,
     dmn_loglik_exact,
     dmn_loglik_lgamma,
@@ -188,10 +189,7 @@ class ExperimentConfig:
             raise DomainError(
                 f"p has {len(mp.p)} categories, base_counts has {len(base.counts)}"
             )
-        try:
-            grid = tuple(n_values)
-        except TypeError:
-            raise DomainError(f"n_values must be a sequence of integers, got {n_values!r}") from None
+        grid = tuple(_iterate(n_values, "n_values must be a sequence of integers"))
         if not grid:
             raise DomainError("n_values must not be empty")
         for n in grid:
@@ -304,7 +302,10 @@ def _sweep(cfg: ExperimentConfig, timed: bool) -> list[BenchRecord]:
     Each record's errors and terms come from one evaluation, and its
     ``wall_time_ns`` is that evaluation's duration, or with ``timed`` the
     median of :func:`_time_evaluations`, timed over every point at once.
+    A ``cfg`` that is not an :class:`ExperimentConfig` is a :class:`DomainError`.
     """
+    if not isinstance(cfg, ExperimentConfig):
+        raise DomainError(f"a sweep needs an ExperimentConfig, got {cfg!r}")
     alpha = cfg.alpha()
     records = []
     calls = []
@@ -358,9 +359,18 @@ def run_runtime_experiment(cfg: ExperimentConfig) -> list[BenchRecord]:
 # ---------------------------------------------------------------------------
 
 
+def _records(records: Iterable[BenchRecord]) -> Iterator[BenchRecord]:
+    """The items of ``records``, read through :func:`dmnll.core._iterate`;
+    an item that is not a :class:`BenchRecord` is a :class:`DomainError`."""
+    for r in _iterate(records, "records must be a sequence of BenchRecord"):
+        if not isinstance(r, BenchRecord):
+            raise DomainError(f"records must hold BenchRecord items, got {r!r}")
+        yield r
+
+
 def records_to_csv(records: Iterable[BenchRecord]) -> str:
     lines = [CSV_HEADER]
-    for r in records:
+    for r in _records(records):
         lines.append(
             f"{r.n_scale},{r.method.value},{r.abs_error!r},{r.rel_error!r},"
             f"{r.wall_time_ns},{r.terms}"
@@ -380,7 +390,7 @@ def records_to_json(records: Iterable[BenchRecord]) -> str:
                 "wall_time_ns": r.wall_time_ns,
                 "terms": r.terms,
             }
-            for r in records
+            for r in _records(records)
         ],
     }
     return canonical_json(payload)

@@ -40,7 +40,8 @@ one ``math.fsum`` (``_merge``, for a table); they differ only in where the
 states come from, a row's own walks or lookups into the shared ones.  A
 route is one walk: the denominator log Gamma(A + N) - log Gamma(A) is the
 same rising-factorial log sum as each category's numerator, started at A,
-so its states are the route's own walk, negated (``_denominator``).
+so its states are the route's own walk, negated: a per-row call negates
+its one state in place, and ``_denominator`` negates the column pass's.
 
 Numerical policy: every inner sum is accumulated in ascending index order
 with Neumaier compensation, and the per-category partial sums are merged
@@ -139,12 +140,8 @@ class CountVector:
     total: int
 
     def __init__(self, counts: Iterable[int], total: int | None = None):
-        try:
-            cells = iter(counts)
-        except TypeError:
-            raise DomainError(f"counts must be a sequence of integers, got {counts!r}") from None
         vals = []
-        for c in cells:
+        for c in _iterate(counts, "counts must be a sequence of integers"):
             # a plain int is its own int(c); only other types pay the ABC check
             if type(c) is not int:
                 if isinstance(c, CountVector):
@@ -198,15 +195,23 @@ class AlphaParams:
         return len(self.alpha)
 
 
+def _iterate(values: Iterable, refusal: str) -> Iterator:
+    """``iter(values)``; a ``values`` that is not iterable is a
+    :class:`DomainError` whose message is ``refusal`` and the value given.
+
+    The one place the public API refuses an argument it cannot iterate.
+    """
+    try:
+        return iter(values)
+    except TypeError:
+        raise DomainError(f"{refusal}, got {values!r}") from None
+
+
 def _floats(values: Iterable, what: str) -> tuple[float, ...]:
     """``values`` as floats; a value ``float`` rejects, or a ``values`` that
     is not iterable, is a :class:`DomainError`."""
-    try:
-        cells = iter(values)
-    except TypeError:
-        raise DomainError(f"{what}: expected a sequence, got {values!r}") from None
     vals = []
-    for v in cells:
+    for v in _iterate(values, f"{what}: expected a sequence"):
         try:
             vals.append(float(v))
         except (TypeError, ValueError, OverflowError):
@@ -533,14 +538,14 @@ def _route(params: AlphaLike | MeanPhiParams, method: Method):
     :func:`_lgamma_rises`, or :func:`_sum_phi_logs` at phi).
     Returns ``(starts, walk, den_start, budget, terms)``: category k's
     states at ``levels`` are ``walk(starts[k], levels)``, and the
-    denominator's are the same walk from ``den_start``, negated by
-    :func:`_denominator`, so that a row's merge adds up every state it
-    reads.  ``den_start`` is A, or 1.0 on the phi route, whose denominator
-    walks log((1-phi) + i phi), the walk of p_k = 1.  ``budget`` is the
-    largest total a row may have: :data:`MAX_TOTAL_COUNT`, or infinity on
-    the O(K) lgamma route.  ``terms`` is the lgamma route's per-row cost,
-    2K + 2, or None on the sum-of-logs routes, whose cost is the counts
-    they read.
+    denominator's are the same walk from ``den_start``, negated (in place
+    by a per-row call, by :func:`_denominator` in the column pass), so that
+    a row's merge adds up every state it reads.  ``den_start`` is A, or 1.0
+    on the phi route, whose denominator walks log((1-phi) + i phi), the
+    walk of p_k = 1.  ``budget`` is the largest total a row may have:
+    :data:`MAX_TOTAL_COUNT`, or infinity on the O(K) lgamma route.
+    ``terms`` is the lgamma route's per-row cost, 2K + 2, or None on the
+    sum-of-logs routes, whose cost is the counts they read.
     The phi route takes :class:`MeanPhiParams`; the others take
     concentration parameters.
     """
@@ -557,8 +562,10 @@ def _denominator(walk, den_start: float, levels: Iterable[int]) -> list[list[flo
     """The denominator's states at ``levels``: ``walk(den_start, levels)``,
     one list per part, with every value negated, which is exact.
 
-    Only walked states are negated: a ``-inf`` row's placeholder
-    (:data:`_NO_WALK`) is not, or its sum would be -inf + inf.
+    The column pass's denominator walk; a per-row call negates the parts of
+    its one state in place, to the same bits.  Only walked states are
+    negated: a ``-inf`` row's placeholder (:data:`_NO_WALK`) is not, or its
+    sum would be -inf + inf.
     """
     return [list(map(neg, part)) for part in walk(den_start, levels)]
 
@@ -612,7 +619,7 @@ def _walk_row(params: AlphaLike | MeanPhiParams, x: CountsLike, method: Method) 
     if ended is not None:
         return LogLikResult(_NEG_INF, method, ended)
     parts = _row_parts(walk, starts, x.counts)
-    parts += _row_parts(partial(_denominator, walk), (den_start,), (x.total,))
+    parts += map(neg, _row_parts(walk, (den_start,), (x.total,)))
     return LogLikResult(math.fsum(parts), method, 2 * x.total if terms is None else terms)
 
 
@@ -663,10 +670,7 @@ def _loglik_table(
     checks it, and the checked rows are transposed once into columns.
     """
     starts, _, _, budget, _ = _route(params, method)
-    try:
-        rows = iter(rows)
-    except TypeError:
-        raise DomainError(f"rows must be a sequence of count vectors, got {rows!r}") from None
+    rows = _iterate(rows, "rows must be a sequence of count vectors")
     checked = [_checked(len(starts), x, budget) for x in rows]
     if not checked:
         return [], []

@@ -55,6 +55,7 @@ from .core import (
     _column_states,
     _columns,
     _finite_fsum,
+    _iterate,
     _loglik_columns,
     _rows,
     _sum_recips,
@@ -127,12 +128,7 @@ class Dataset:
     ):
         columns = _from_columns
         if columns is None:
-            try:
-                rows = iter(observations)
-            except TypeError:
-                raise DomainError(
-                    f"observations must be a sequence of count vectors, got {observations!r}"
-                ) from None
+            rows = _iterate(observations, "observations must be a sequence of count vectors")
             obs = tuple(o if isinstance(o, CountVector) else CountVector(o) for o in rows)
             if not obs:
                 raise DomainError("a dataset needs at least one observation")

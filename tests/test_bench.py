@@ -191,6 +191,13 @@ class TestConfig:
         with pytest.raises(DomainError, match="does not fit in 64 bits"):
             runtime_defaults(n_values=(1, 2**62))
 
+    @pytest.mark.parametrize("sweep", [run_accuracy_experiment, run_runtime_experiment])
+    @pytest.mark.parametrize("cfg", [None, (1, 2, 5), "accuracy"])
+    def test_a_sweep_refuses_what_is_not_a_config(self, sweep, cfg):
+        with pytest.raises(DomainError) as info:
+            sweep(cfg)
+        assert str(info.value) == f"a sweep needs an ExperimentConfig, got {cfg!r}"
+
     def test_counts_scaling(self):
         cfg = runtime_defaults()
         assert cfg.counts_at(10).counts == (10, 20, 30)
@@ -288,6 +295,22 @@ class TestSerialization:
         assert doc["records"][0]["n"] == 2
         # canonical form re-encodes byte for byte
         assert canonical_json(doc) == text
+
+    @pytest.mark.parametrize("serialize", [records_to_csv, records_to_json])
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            (None, "records must be a sequence of BenchRecord, got None"),
+            (3, "records must be a sequence of BenchRecord, got 3"),
+            ([{"n": 1}], "records must hold BenchRecord items, got {'n': 1}"),
+            ([BenchRecord(1, Method.EXACT, 0.0, 0.0, 1, 2), None],
+             "records must hold BenchRecord items, got None"),
+        ],
+    )
+    def test_records_it_cannot_read_are_a_domain_error(self, serialize, records, message):
+        with pytest.raises(DomainError) as info:
+            serialize(records)
+        assert str(info.value) == message
 
 
 class TestOneEvaluationPerPoint:

@@ -1,5 +1,7 @@
 """Tests for the synthetic-data helpers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,10 @@ def test_dirichlet_draw_rounded_past_one_is_accepted():
     # numpy's Dirichlet draws (7.3e-309, 1.0000000000000002) here
     d = sample_dmn_dataset((1.0, 9.373062675601641e307), 5, 1, seed=0)
     assert d.observations[0].counts == (0, 5)
+
+
+@pytest.mark.parametrize("sample", [sample_dmn_dataset, sample_mn_dataset])
+@pytest.mark.parametrize("seed", [-1, [1, -2], 1.5, "x"])
+def test_a_seed_numpy_refuses_is_a_domain_error(sample, seed):
+    with pytest.raises(DomainError, match=f"seed must be None.*got {re.escape(repr(seed))}$"):
+        sample((0.25, 0.75), 3, 2, seed=seed)
