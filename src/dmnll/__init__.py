@@ -1,10 +1,11 @@
 """Exact Dirichlet-multinomial log-likelihoods, stable down to the multinomial limit.
 
-The evaluators of :mod:`dmnll.core` are imported with the package.  The
-names of ``estimate`` and ``sampling`` (which need numpy) and of ``bench``
-(which needs mpmath), and those three submodules themselves, are imported
-on first use (PEP 562), so code that only evaluates likelihoods loads
-neither dependency.
+The evaluators of :mod:`dmnll.core` and its :class:`Dataset`, the table
+the fit takes, are imported with the package.  The names of ``estimate``
+and ``sampling`` (which need numpy) and of ``bench`` (which needs mpmath),
+and those three submodules themselves, are imported on first use
+(PEP 562), so code that only evaluates likelihoods or builds a dataset
+loads neither dependency.
 """
 
 import importlib
@@ -12,6 +13,7 @@ import importlib
 from .core import (
     AlphaParams,
     CountVector,
+    Dataset,
     DimensionMismatchError,
     DmnError,
     DomainError,
@@ -70,7 +72,6 @@ __all__ = [
 
 #: The submodule that defines each name imported on first use.
 _LAZY = {
-    "Dataset": "estimate",
     "FitResult": "estimate",
     "fit_alpha_mle": "estimate",
     "grad_loglik": "estimate",

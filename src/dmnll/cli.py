@@ -9,11 +9,11 @@ parsed whole, straight into columns, K count columns and their totals:
 one ``json.loads`` decodes the block, each count column is a slice of its
 ints, and the counts are checked all at once for negatives, and for 64
 bits by their row totals, which bound them.  ``dmnll loglik`` hands those
-columns to the table evaluator as they are, and ``dmnll fit`` builds its
-dataset from them, with no per-row objects.  Every other table, or one
-that decode refuses, is read line by line, each line's cells checked in
-order into one ``CountVector`` per row, so an error names the first bad
-cell in row order and its line.
+columns to the table evaluator as they are, and ``dmnll fit`` hands the
+parsed table, a ``Dataset``, to the fit itself, with no per-row objects.
+Every other table, or one that decode refuses, is read line by line, each
+line's cells checked in order into one ``CountVector`` per row, so an
+error names the first bad cell in row order and its line.
 
 Results are printed as CSV or canonical JSON (``--format``), to stdout or
 ``--out``.  Exit codes: 0 success, 1 computation/domain error, 2 usage,
@@ -39,7 +39,6 @@ import math
 import os
 import re
 import sys
-from functools import cached_property
 from itertools import repeat
 from types import SimpleNamespace
 
@@ -48,19 +47,18 @@ from .core import (
     SCHEMA_VERSION,
     AlphaParams,
     CountVector,
+    Dataset,
     DmnError,
     DomainError,
     MeanPhiParams,
     Method,
-    _columns,
     _loglik_columns,
-    _rows,
     canonical_json,
     dmn_loglik_exact,  # noqa: F401  perfbench/spans.py rebinds this name here
     dmn_loglik_lgamma,  # noqa: F401  perfbench/spans.py rebinds this name here
     params_from_mean_phi,
 )
-from .estimate import DEFAULT_MAX_ITER, DEFAULT_TOL, Dataset, fit_alpha_mle
+from .estimate import DEFAULT_MAX_ITER, DEFAULT_TOL, fit_alpha_mle
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -75,32 +73,28 @@ class TableParseError(UsageError):
     """A count table could not be parsed; message carries the line number."""
 
 
-class CountTable:
-    """A parsed count table: K count columns and their totals, plus the
+class CountTable(Dataset):
+    """A parsed count table: the :class:`Dataset` the fit takes, plus the
     column names of its header, if it has one.
 
-    ``columns`` holds the K count columns, then the totals, each in row
-    order: what the table evaluator reads.  ``rows``, one
-    :class:`CountVector` per observation, is built from the columns when
-    first read.  A table made from its rows,
+    ``rows`` are its ``observations``, built from the parsed ``columns``
+    when first read.  A table made from its rows,
     ``CountTable(rows=..., column_names=...)``, keeps them and transposes
     them once into its columns.
     """
 
-    def __init__(self, rows=None, column_names=None, *, columns=None):
-        if columns is None:
-            self.rows = tuple(rows)
-            columns = _columns(self.rows)
-        self.columns = columns
-        self.column_names = column_names
+    def __init__(self, rows=(), column_names=None, *, columns=None):
+        super().__init__(rows, _from_columns=columns)
+        object.__setattr__(self, "column_names", column_names)
 
-    @cached_property
+    @property
     def rows(self) -> tuple[CountVector, ...]:
-        return _rows(self.columns)
+        return self.observations
 
 
 def parse_count_table(text: str, source: str = "<input>") -> CountTable:
-    """Parse a counts CSV into columns.
+    """Parse a counts CSV into columns: a :class:`CountTable`, which is the
+    :class:`Dataset` the fit takes.
 
     The first non-comment row is taken as a header unless every cell in it
     is an integer literal (even one too long for ``int``), in which case
@@ -417,7 +411,7 @@ def cmd_loglik(args) -> str:
 
 def cmd_fit(args) -> str:
     table = _read_table(args.table)
-    if len(table.columns) == 2:  # one count column, and the totals
+    if table.k == 1:
         # Unusable input rather than a failed computation.
         raise UsageError(
             "the table has a single category; its likelihood is constant "
@@ -426,8 +420,7 @@ def cmd_fit(args) -> str:
     init = None
     if args.alpha is not None:
         init = AlphaParams(_parse_numbers(args.alpha, "--alpha"))
-    data = Dataset(_from_columns=table.columns)
-    result = fit_alpha_mle(data, init=init, max_iter=args.max_iter, tol=args.tol)
+    result = fit_alpha_mle(table, init=init, max_iter=args.max_iter, tol=args.tol)
     names = table.column_names or tuple(
         str(i) for i in range(len(result.alpha_hat.alpha))
     )

@@ -25,9 +25,9 @@ holding every row's value of that part.  A part column is read in one C
 call: the walk's states of that part go into a dict keyed by count, and
 one ``operator.itemgetter`` of the column's counts reads every row's
 value from it.  The table evaluator (``_loglik_columns``) takes a table
-as those columns, as the CLI parses it and a dataset keeps it, with no
-per-row objects; it zips its part columns into each row's parts and
-merges them with one ``fsum`` per row.
+as those columns, as a :class:`Dataset` (the CLI's parsed table among
+them) keeps it, with no per-row objects; it zips its part columns into
+each row's parts and merges them with one ``fsum`` per row.
 Tables given as rows are checked row by row and transposed once
 (``_loglik_table``).  The gradient in ``dmnll.estimate`` reads its
 reciprocal sums from the same pass.  Every per-row call, on each of the
@@ -56,9 +56,9 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from operator import itemgetter, neg
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -74,6 +74,7 @@ __all__ = [
     "AlphaParams",
     "MeanPhiParams",
     "LogLikResult",
+    "Dataset",
     "dmn_loglik_exact",
     "dmn_loglik_lgamma",
     "dmn_loglik_phi",
@@ -378,9 +379,54 @@ def _columns(rows: Sequence[CountVector]) -> list[Sequence[int]]:
     return [*zip(*(x.counts for x in rows)), [x.total for x in rows]]
 
 
-def _rows(columns: Sequence[Sequence[int]]) -> tuple[CountVector, ...]:
-    """The rows of checked ``columns``, the inverse of :func:`_columns`."""
-    return tuple(map(CountVector, zip(*columns[:-1])))
+@dataclass(frozen=True, init=False)
+class Dataset:
+    """A sequence of count observations sharing the same K categories.
+
+    ``columns`` holds the observations transposed once, as the fit and the
+    table evaluator read them: the K count columns, then the totals.
+
+    ``_from_columns`` is a parser's way in: a parsed table's columns,
+    already checked, which are kept as they are.  Such a dataset builds
+    its ``observations`` only when they are first read.  The command
+    line's parsed table, ``dmnll.cli.CountTable``, is one.
+    """
+
+    observations: tuple[CountVector, ...]
+    k: int
+    columns: list = field(repr=False, compare=False)
+
+    def __init__(
+        self,
+        observations: Iterable[CountVector | Sequence[int]] = (),
+        *,
+        _from_columns: list | None = None,
+    ):
+        columns = _from_columns
+        if columns is None:
+            rows = _iterate(observations, "observations must be a sequence of count vectors")
+            obs = tuple(o if isinstance(o, CountVector) else CountVector(o) for o in rows)
+            if not obs:
+                raise DomainError("a dataset needs at least one observation")
+            k = len(obs[0].counts)
+            for i, o in enumerate(obs):
+                if len(o.counts) != k:
+                    raise DimensionMismatchError(
+                        f"observation {i} has {len(o.counts)} categories, expected {k}"
+                    )
+            # stored where the cached property keeps its value, so the rows
+            # given are the rows read
+            self.__dict__["observations"] = obs
+            columns = _columns(obs)
+        object.__setattr__(self, "k", len(columns) - 1)
+        object.__setattr__(self, "columns", columns)
+
+    @cached_property
+    def observations(self) -> tuple[CountVector, ...]:
+        return tuple(map(CountVector, zip(*self.columns[:-1])))
+
+    def __len__(self) -> int:
+        return len(self.columns[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -813,19 +859,15 @@ def log_multinomial_coef(x: CountsLike) -> float:
     """log(N! / prod_k x_k!) by the same ascending sum-of-logs scheme.
 
     log n! is sum_{j<n} log(1 + j), the exact route's walk at a = 1; its
-    first term, log 1, adds an exact zero.  N and every x_k read one walk,
-    up to N: N!'s state is added as it is, and each x_k!'s parts are
-    negated, which is exact.  The total is checked against
-    :data:`MAX_TOTAL_COUNT`.
+    first term, log 1, adds an exact zero.  N and every x_k are one column
+    of :func:`_column_states`, so they read one walk, up to N: N!'s state
+    is added as it is, and each x_k!'s parts are negated, which is exact.
+    The total is checked against :data:`MAX_TOTAL_COUNT`.
     """
     x = _as_counts(x)
     _check_budget(x.total, MAX_TOTAL_COUNT)
-    levels = sorted({x.total, *x.counts})
-    states = dict(zip(levels, zip(*_sum_logs(1.0, levels))))
-    parts = list(states[x.total])
-    for x_k in x.counts:
-        parts += [-v for v in states[x_k]]
-    (value,) = _merge([parts])
+    sums, comps = _column_states([partial(_sum_logs, 1.0)], [(x.total, *x.counts)])
+    (value,) = _merge([[sums[0], comps[0], *map(neg, sums[1:]), *map(neg, comps[1:])]])
     return value
 
 

@@ -28,22 +28,24 @@ so one iteration costs a few array passes over that grid, not O(total
 count): a log per level for each of the two points' log-likelihoods, and
 two divisions per level for the Newton step's first- and second-order
 sums.  The fixed point is read from the first-order ones.
+
+Each function takes a :class:`Dataset` (defined in :mod:`dmnll.core`,
+re-exported here) or its rows; a table the command line parses is one.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import (
     AlphaLike,
     AlphaParams,
-    CountVector,
+    Dataset,
     DimensionMismatchError,
     DmnError,
     DomainError,
@@ -53,11 +55,8 @@ from .core import (
     _check_size,
     _check_table,
     _column_states,
-    _columns,
     _finite_fsum,
-    _iterate,
     _loglik_columns,
-    _rows,
     _sum_recips,
     dmn_loglik_exact,  # noqa: F401  perfbench/spans.py rebinds this name here
 )
@@ -102,55 +101,6 @@ class MonotonicityError(DmnError):
     The fixed point cannot do so, so this signals a defect.  It is checked
     on every iteration, whichever point the iteration then takes.
     """
-
-
-@dataclass(frozen=True, init=False)
-class Dataset:
-    """A sequence of count observations sharing the same K categories.
-
-    ``columns`` holds the observations transposed once, as the fit and the
-    table evaluator read them: the K count columns, then the totals.
-
-    ``_from_columns`` is the command line's way in: a parsed table's
-    columns, already checked, which are kept as they are.  Such a dataset
-    builds its ``observations`` only when they are first read.
-    """
-
-    observations: tuple[CountVector, ...]
-    k: int
-    columns: list = field(repr=False, compare=False)
-
-    def __init__(
-        self,
-        observations: Iterable[CountVector | Sequence[int]] = (),
-        *,
-        _from_columns: list | None = None,
-    ):
-        columns = _from_columns
-        if columns is None:
-            rows = _iterate(observations, "observations must be a sequence of count vectors")
-            obs = tuple(o if isinstance(o, CountVector) else CountVector(o) for o in rows)
-            if not obs:
-                raise DomainError("a dataset needs at least one observation")
-            k = len(obs[0].counts)
-            for i, o in enumerate(obs):
-                if len(o.counts) != k:
-                    raise DimensionMismatchError(
-                        f"observation {i} has {len(o.counts)} categories, expected {k}"
-                    )
-            # stored where the cached property keeps its value, so the rows
-            # given are the rows read
-            self.__dict__["observations"] = obs
-            columns = _columns(obs)
-        object.__setattr__(self, "k", len(columns) - 1)
-        object.__setattr__(self, "columns", columns)
-
-    @cached_property
-    def observations(self) -> tuple[CountVector, ...]:
-        return _rows(self.columns)
-
-    def __len__(self) -> int:
-        return len(self.columns[-1])
 
 
 def _as_dataset(d) -> Dataset:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _MAX_COUNT, AlphaLike, DomainError, _as_alpha, _as_simplex, _check_size
-from .estimate import Dataset
+from .core import _MAX_COUNT, AlphaLike, Dataset, DomainError, _as_alpha, _as_simplex, _check_size
 
 __all__ = ["sample_dmn_dataset", "sample_mn_dataset"]
 

@@ -151,6 +151,29 @@ def test_fit_dataset_equality_and_repr_read_the_rows():
     assert by_columns.observations == by_rows.observations
 
 
+@pytest.mark.parametrize(
+    "text, n_rows", [(TABLES[0], 5), (TABLES[1], len(SAMPLED))], ids=["small", "sampled"]
+)
+def test_a_parsed_table_is_the_dataset_the_fit_takes(text, n_rows):
+    table = cli.parse_count_table(text)
+    assert isinstance(table, core.Dataset)
+    assert (table.k, len(table)) == (3, n_rows)
+
+    def bits(fit):
+        return (
+            [a.hex() for a in fit.alpha_hat.alpha],
+            fit.alpha_hat.sum_a.hex(),
+            fit.loglik.hex(),
+            fit.iterations,
+            fit.converged,
+            [(it, ll.hex()) for it, ll in fit.trace],
+            fit.floored,
+        )
+
+    by_rows = core.Dataset(table.rows)
+    assert bits(estimate.fit_alpha_mle(table)) == bits(estimate.fit_alpha_mle(by_rows))
+
+
 def test_fit_builds_no_count_vector(tmp_path, capsys, no_count_vectors):
     path = tmp_path / "t.csv"
     path.write_text(TABLES[1])

@@ -38,7 +38,7 @@ def test_package_import_is_lazy_and_every_name_resolves():
         "import sys, dmnll\n"
         "print(sorted(m for m in ('mpmath', 'numpy', 'dmnll.bench', 'dmnll.estimate',"
         " 'dmnll.sampling') if m in sys.modules))\n"
-        "print(dmnll.reference_loglik.__module__, dmnll.Dataset.__module__,"
+        "print(dmnll.reference_loglik.__module__, dmnll.fit_alpha_mle.__module__,"
         " dmnll.bench.SCHEMA_VERSION, dmnll.sampling.sample_dmn_dataset.__module__)\n"
         "ns = {}\n"
         "exec('from dmnll import *', ns)\n"
@@ -52,6 +52,15 @@ def test_package_import_is_lazy_and_every_name_resolves():
         "[]",
         "True",
     ]
+
+
+def test_a_dataset_loads_no_numpy():
+    out = run_fresh(
+        "import sys, dmnll\n"
+        "d = dmnll.Dataset([[1, 2], [3, 4]])\n"
+        "print(d.k, len(d), 'numpy' in sys.modules)"
+    )
+    assert out.strip() == "2 2 False"
 
 
 def test_a_command_loads_no_argparse_gettext_or_locale(tmp_path):
