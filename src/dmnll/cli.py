@@ -11,9 +11,13 @@ ints, and the counts are checked all at once for negatives, and for 64
 bits by their row totals, which bound them.  ``dmnll loglik`` hands those
 columns to the table evaluator as they are, and ``dmnll fit`` hands the
 parsed table, a ``Dataset``, to the fit itself, with no per-row objects.
-Every other table, or one that decode refuses, is read line by line, each
-line's cells checked in order into one ``CountVector`` per row, so an
-error names the first bad cell in row order and its line.
+Blank and comment lines are filtered out before that decode only where
+the text holds a ``#`` or its first line is blank: a blank line anywhere
+else makes the decode refuse, and only then is the table filtered and
+decoded again.  Every other table, or one that decode refuses, is read
+line by line, each line's cells checked in order into one
+``CountVector`` per row, so an error names the first bad cell in row
+order and its line.
 
 Results are printed as CSV or canonical JSON (``--format``), to stdout or
 ``--out``.  Exit codes: 0 success, 1 computation/domain error, 2 usage,
@@ -39,7 +43,9 @@ import math
 import os
 import re
 import sys
+from functools import partial, reduce
 from itertools import repeat
+from operator import add
 from types import SimpleNamespace
 
 from .core import (
@@ -96,9 +102,9 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
     """Parse a counts CSV into columns: a :class:`CountTable`, which is the
     :class:`Dataset` the fit takes.
 
-    The first non-comment row is taken as a header unless every cell in it
-    is an integer literal (even one too long for ``int``), in which case
-    the table is treated as headerless.
+    The first row that is neither blank nor a comment is taken as a header
+    unless every cell in it is an integer literal (even one too long for
+    ``int``), in which case the table is treated as headerless.
 
     A table has two readers.  One whose cells can only be JSON integers is
     read whole, straight into columns (:func:`_read_columns`): every line's
@@ -109,13 +115,22 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
     into one :class:`CountVector` per row, so that an error names the first
     bad cell and its line.  A leading byte order mark is dropped, so it cannot make
     a data row a header.
+
+    Blank and comment lines are filtered out only where the whole-table
+    reader would not refuse them.  It refuses a blank or whitespace-only
+    line anywhere but first, so the lines are filtered before it reads them
+    only if the text holds a ``#`` or its first line is blank (a one-column
+    table would read that line as the header ``('',)``), and after a
+    refusal only if filtering drops a line.
     """
     text = text.removeprefix("\ufeff")
     lines = text.splitlines()
-    # only a table that holds a blank or comment line pays for the filter
-    if "#" in text or "" in lines or any(map(str.isspace, lines)):
-        lines = [raw for raw in lines if (s := raw.strip()) and not s.startswith("#")]
-    read = _read_columns(lines)
+    clean = "#" not in text and bool(lines and lines[0].strip())
+    read = _read_columns(lines) if clean else None
+    if read is None:
+        content = [raw for raw in lines if (s := raw.strip()) and not s.startswith("#")]
+        if not clean or len(content) < len(lines):
+            read = _read_columns(content)
     if read is None:
         return _scan(text, source)
     header, columns = read
@@ -124,8 +139,10 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
 
 def _read_columns(lines: list[str]) -> tuple[tuple[str, ...] | None, list] | None:
     """The header, if any, and the K count columns and their totals of a
-    table's content lines (no blank or comment line among them), read by
-    one ``json.loads``; ``None`` for a table it does not read.
+    table's lines, read by one ``json.loads``; ``None`` for a table it does
+    not read.  A blank or whitespace-only line but the first is an empty
+    cell, or a character JSON refuses, so a table that holds one is
+    refused; a blank first line would be read as a header.
 
     It reads a table whose every line has the header's width, whose cells
     JSON reads as integers (:func:`_json_ints`) and whose counts are
@@ -153,12 +170,27 @@ def _read_columns(lines: list[str]) -> tuple[tuple[str, ...] | None, list] | Non
     if values is None or "-" in joined and min(values) < 0:
         return None
     counts = [values[k::width] for k in range(width)]
-    totals = list(map(sum, zip(*counts)))
+    totals = _row_totals(counts)
     # a non-negative count is at most its row's total, so only a table with
     # a total past 64 bits has its cells checked for 64 bits
     if max(totals) > _MAX_COUNT and max(values) > _MAX_COUNT:
         return None
     return header, [*counts, totals]
+
+
+#: The most count columns one nest of ``map(add, ...)`` calls adds: each
+#: column is one more level of C calls per row, and a nest as deep as a
+#: table of 100 000 columns overflows the C stack.
+_NEST = 64
+
+
+def _row_totals(counts: list[list[int]]) -> list[int]:
+    """Each row's total of the count columns, added a column at a time by
+    nested ``map(add, ...)`` calls, in C, with no tuple per row."""
+    totals = list(reduce(partial(map, add), counts[:_NEST]))
+    for k in range(_NEST, len(counts), _NEST):
+        totals = list(reduce(partial(map, add), counts[k : k + _NEST], totals))
+    return totals
 
 
 #: What a block of cells must hold none of for JSON to read it as integers
@@ -236,13 +268,21 @@ def _split_cells(raw: str) -> list[str]:
 
 def _all_ints(cells) -> bool:
     """Whether every stripped cell is an integer literal, of any length."""
-    return all(re.fullmatch(_INT_LITERAL, c) for c in cells)
+    return all(map(_int_literal, cells))
 
 
-#: An integer literal as ``int`` reads a stripped cell: a sign, then
-#: (Unicode) decimal digits with single underscores between them.  It
-#: accepts what ``int`` accepts, and literals past ``int``'s digit limit.
-_INT_LITERAL = r"([+-]?)(\d+(?:_\d+)*)"
+def _int_literal(cell: str) -> tuple[str, str] | None:
+    """The sign and the digits of a stripped cell that is an integer
+    literal as ``int`` reads it, else ``None``.
+
+    Such a literal is a sign, then (Unicode) decimal digits with single
+    underscores between them: every ``_``-separated part after the sign is
+    ``str.isdecimal``.  It accepts what ``int`` accepts, and literals past
+    ``int``'s digit limit.
+    """
+    sign = cell[:1] if cell[:1] in ("+", "-") else ""
+    digits = cell[len(sign) :]
+    return (sign, digits) if all(map(str.isdecimal, digits.split("_"))) else None
 
 
 def _to_int(cell: str) -> int:
@@ -255,10 +295,10 @@ def _to_int(cell: str) -> int:
     try:
         return int(cell)
     except ValueError:
-        literal = re.fullmatch(_INT_LITERAL, cell)
+        literal = _int_literal(cell)
         if literal is None:
             raise
-    sign, digits = literal.groups()
+    sign, digits = literal
     digits = digits.replace("_", "").lstrip("0") or "0"
     if len(digits) <= 19:  # as many as 2^63 - 1 has
         return int(sign + digits)

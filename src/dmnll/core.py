@@ -510,10 +510,13 @@ def _lgamma_rises(a_k: float, levels: Iterable[int]) -> tuple[list[float]]:
     log sum, as a one-part state at each n in ``levels``: the lgamma
     route's walk, for a table's columns and a single row alike.
 
+    lgamma(a_k) is evaluated once per walk, not once per level (every
+    caller asks for at least one level, so it is never taken for nothing).
     An lgamma that overflows a float is a :class:`DomainError`.
     """
     try:
-        return ([math.lgamma(a_k + n) - math.lgamma(a_k) for n in levels],)
+        base = math.lgamma(a_k)
+        return ([math.lgamma(a_k + n) - base for n in levels],)
     except OverflowError as exc:
         raise DomainError(
             "lgamma overflows a float at these parameters; "
@@ -647,9 +650,16 @@ def _merge(rows: Iterable[Iterable[float]]) -> list[float]:
     negated denominator.  This is the NaN check of the table evaluator, the
     multinomial kernel and the coefficient, whose values are plain floats;
     a per-row call's value is checked by its :class:`LogLikResult`.
+
+    One ``isnan`` of the values' sum checks them all.  A value is ``-inf``
+    or finite, and a finite one is far below the largest float: under 1e23
+    on the sum-of-logs routes (at most 2^64 logs), and at worst a few of
+    its ulps (about 1e292) on the lgamma route, where two lgammas near it
+    cancel.  So no table's sum reaches ``+inf``, and it is NaN only where
+    a value is.
     """
     values = list(map(math.fsum, rows))
-    if any(map(math.isnan, values)):
+    if math.isnan(sum(values)):
         raise DmnError("internal error: NaN log-likelihood")
     return values
 

@@ -3,6 +3,7 @@ shortcut and the split-based CSV parse give the results, or raise the
 errors, of the versions kept in ``conftest`` (every cell through the
 ``numbers.Integral`` check, every line through ``csv.reader``)."""
 
+import re
 import sys
 from fractions import Fraction
 
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmnll.cli
 from dmnll import CountVector
 from dmnll.cli import (
     TableParseError,
+    _int_literal,
     _json_ints,
     _read_columns,
     _scan,
@@ -258,6 +261,11 @@ WHOLE_TABLE_CASES = {
     "comments-and-blanks-between-rows": "a,b\n1,2\n# note\n\n  \n3,4\n\t\n #x\n5,6\n",
     "empty-line-and-no-comment": "a,b\n1,2\n\n3,4\n",
     "whitespace-line-and-no-comment": "1,2\n \x1f\n3,4\n",
+    # a one-column table would read a blank first line as the header ('',)
+    "blank-first-line-one-column": "\n5\n3\n",
+    "whitespace-first-line-one-column": " \x1f\n5\n3\n",
+    "ideographic-space-first-line-one-column": "\u3000\n5\n3\n",
+    "blank-line-after-a-one-column-header": "a\n\n5\n3\n",
     "quoted-and-unquoted-rows": 'a,b\n"1",2\n3,4\n5," 6"\n7,8\n',
     "hash-in-a-quoted-header-cell": '"#a",b\n1,2\n3,4\n',
     "hash-in-a-quoted-last-header-cell": 'a,"#b"\n1,2\n',
@@ -331,6 +339,61 @@ def test_whole_table_cases_reach_what_they_name():
     assert _read_columns(text.splitlines()) is None
     with pytest.raises(TableParseError, match=f"^t.csv line 3: count {1 << 63} does not fit"):
         _scan(text, "t.csv")
+    # a blank first line is dropped, not read as a header
+    for name in ["blank-first-line-one-column", "whitespace-first-line-one-column",
+                 "ideographic-space-first-line-one-column"]:
+        table = parse_count_table(WHOLE_TABLE_CASES[name])
+        assert (table.column_names, table.columns) == (None, [[5, 3], [5, 3]])
+    table = parse_count_table(WHOLE_TABLE_CASES["blank-line-after-a-one-column-header"])
+    assert (table.column_names, table.columns) == (("a",), [[5, 3], [5, 3]])
+
+
+def test_a_wide_table_is_totalled_a_few_columns_at_a_time():
+    # one nest of map calls over all its columns would be 100 000 levels of
+    # C calls deep, past the C stack
+    width = 100_000
+    table = parse_count_table(",".join(["1"] * width) + "\n" + ",".join(["2"] * width) + "\n")
+    assert (table.k, table.columns[-1]) == (width, [width, 2 * width])
+
+
+# ---------------------------------------------------------------------------
+# integer literals
+# ---------------------------------------------------------------------------
+
+#: The integer-literal pattern the parse once matched cells against: the
+#: oracle of :func:`_int_literal`.
+OLD_INT_LITERAL = r"([+-]?)(\d+(?:_\d+)*)"
+
+#: Signs, underscores, ASCII and other decimal digits (Arabic-Indic,
+#: Devanagari, fullwidth, NKo), a digit that is not decimal, and letters.
+LITERAL_CHARS = "+-_0189\u0663\u096b\uff15\u07c0\u00b2ab"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from(LITERAL_CHARS), max_size=8))
+def test_int_literal_matches_the_old_pattern(cell):
+    match = re.fullmatch(OLD_INT_LITERAL, cell)
+    assert _int_literal(cell) == (match and match.groups())
+
+
+class NoRegex:
+    """A stand-in for the ``re`` module whose every function fails."""
+
+    def __getattr__(self, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"re.{name} called")
+
+        return refuse
+
+
+def test_a_table_is_parsed_without_a_regex(monkeypatch):
+    monkeypatch.setattr(dmnll.cli, "re", NoRegex())
+    assert parse_count_table("a,b\n1,2\n3,4\n").column_names == ("a", "b")
+    assert parse_count_table("1,2\n3,4\n").columns == [[1, 3], [2, 4], [3, 7]]
+    # JSON refuses the padded literal and int() its length: the line scan
+    # reads it through _to_int's fallback
+    table = parse_count_table(f"a,b\n{PADDED_SEVEN},1\n2,3\n")
+    assert [r.counts for r in table.rows] == [(7, 1), (2, 3)]
 
 
 # ---------------------------------------------------------------------------
