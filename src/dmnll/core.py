@@ -26,8 +26,12 @@ call: the walk's states of that part go into a dict keyed by count, and
 one ``operator.itemgetter`` of the column's counts reads every row's
 value from it.  The table evaluator (``_loglik_columns``) takes a table
 as those columns, as a :class:`Dataset` (the CLI's parsed table among
-them) keeps it, with no per-row objects; it zips its part columns into
-each row's parts and merges them with one ``fsum`` per row.
+them) keeps it, with no per-row objects.  A row that observes a
+zero-probability category is ``-inf``, and ``_ended`` is the one place
+that says so; the table evaluator removes those rows from its columns
+before the pass and puts them back after it, so the pass and its walks
+never meet them.  It zips its part columns into each row's parts and
+merges them with one ``fsum`` per row.
 Tables given as rows are checked row by row and transposed once
 (``_loglik_table``).  The gradient in ``dmnll.estimate`` reads its
 reciprocal sums from the same pass.  Every per-row call, on each of the
@@ -435,7 +439,7 @@ class Dataset:
 
 
 def _sum_terms(
-    term, start: float, step: float, levels: Iterable[int], first: float | None = None
+    term, start: float, step: float, levels: Iterable[int]
 ) -> tuple[list[float], list[float]]:
     """Neumaier-compensated prefix sums of term(start + j*step), j = 0, 1, ...
 
@@ -447,7 +451,6 @@ def _sum_terms(
     n terms alone.  Returns the state's two parts, each as a list with one
     entry per level: the sums, then the compensations.  They stay separate
     so callers can merge partial sums without an intermediate rounding.
-    ``first``, when given, is the j = 0 term in place of term(start).
     """
     sums = []
     comps = []
@@ -455,10 +458,6 @@ def _sum_terms(
     c = 0.0
     done = 0
     for stop in levels:
-        if first is not None and done == 0 < stop:
-            # the state one step of the loop below leaves from (0, 0)
-            s = 0.0 + first
-            done = 1
         for j in range(done, stop):
             t = term(start + step * j)
             total = s + t
@@ -483,21 +482,23 @@ def _sum_phi_logs(
 ) -> tuple[list[float], list[float]]:
     """:func:`_sum_terms` of log(p_k (1-phi) + j phi) at each of ``levels``.
 
-    ``p_k == 0`` (a zero-probability category) makes every level above 0
-    s = -inf, c = 0.0: the observed category is impossible.  When the product
-    p_k (1-phi) is subnormal, or underflows to 0, it has lost precision, so
-    the first term is log(p_k) + log1p(-phi) instead of the log of the product.
-    At p_k = 1 this is the denominator's walk, log((1-phi) + i phi).
+    When the product p_k (1-phi) is subnormal, or underflows to 0, it has
+    lost precision, so a term whose argument is that product, the first
+    (or at phi = 0 every one, where both forms are log p_k), is
+    log(p_k) + log1p(-phi) instead.  A zero-probability category is walked
+    only to level 0, which takes no term: :func:`_ended` ends a row that
+    observes it.  At p_k = 1 this is the denominator's walk,
+    log((1-phi) + i phi).
     ``phi`` comes first, so that ``partial(_sum_phi_logs, phi)`` is a walk.
     """
-    if p_k == 0.0:
-        sums = [_NEG_INF if n > 0 else 0.0 for n in levels]
-        return sums, [0.0] * len(sums)
     start = p_k * (1.0 - phi)
     if start >= _MIN_NORMAL:
         return _sum_terms(math.log, start, phi, levels)
-    first = math.log(p_k) + math.log1p(-phi)
-    return _sum_terms(math.log, start, phi, levels, first)
+
+    def term(v: float) -> float:
+        return math.log(p_k) + math.log1p(-phi) if v == start else math.log(v)
+
+    return _sum_terms(term, start, phi, levels)
 
 
 #: The phi route's walk at phi = 0, the multinomial kernel's, built once
@@ -531,45 +532,31 @@ def _sum_recips(start: float, levels: Iterable[int]) -> tuple[list[float]]:
     return ([s + c for s, c in zip(sums, comps)],)
 
 
-#: The state a ``-inf`` row reads where no walk covers it, one value per
-#: part; a one-part walk's rows read the first.
-_NO_WALK = (_NEG_INF, 0.0)
-
-
-def _column_states(walks, columns: Sequence[Sequence[int]], skip=()) -> Iterator:
+def _column_states(walks, columns: Sequence[Sequence[int]]) -> Iterator:
     """Every row's state in each column, one column per part, from one walk
     per column.
 
     The one column pass of the package.  ``columns`` are a table's K count
-    columns, then its totals, and ``walks`` one walk for each:
-    ``walk(levels)`` returns the parts of the state at each of the
-    ascending ``levels``, one list per part (the sum and the compensation
-    on the sum-of-logs routes, one part on the lgamma route and in the
-    gradient).  Each column is walked once, over its distinct counts, and
-    yields one tuple per part, of every row's value of that part in row
-    order: a row with count n reads the state a walk of n terms alone would
-    return, so a row merged from its parts in all K + 1 columns is bit for
-    bit the row a per-row call evaluates.
+    columns, then its totals, each holding at least one row, and ``walks``
+    one walk for each: ``walk(levels)`` returns the parts of the state at
+    each of the ascending ``levels``, one list per part (the sum and the
+    compensation on the sum-of-logs routes, one part on the lgamma route
+    and in the gradient).  Each column is walked once, over its distinct
+    counts, and yields one tuple per part, of every row's value of that
+    part in row order: a row with count n reads the state a walk of n terms
+    alone would return, so a row merged from its parts in all K + 1 columns
+    is bit for bit the row a per-row call evaluates.
 
     A part is read as one dict from each walked count to its state, and one
     ``operator.itemgetter(*column)`` call reads every row's state from it,
-    in C, not one lookup per row in Python.  Rows in ``skip`` are left out
-    of every walk; where no walk covers a skipped row's count, ``setdefault``
-    puts :data:`_NO_WALK`'s state of that part under it before the read,
-    and a skipped row whose count a live row shares reads the walked state,
-    as a lookup with a default would.  A one-row column yields a one-entry
-    tuple.  A walk returns its parts even at no levels, so a column whose
-    rows are all skipped still yields every part.
+    in C, not one lookup per row in Python.  A one-row column yields a
+    one-entry tuple.
     """
     for walk, column in zip(walks, columns):
-        live = [n for r, n in enumerate(column) if r not in skip] if skip else column
-        levels = sorted(set(live))
+        levels = sorted(set(column))
         read = itemgetter(*column)
-        for part, default in zip(walk(levels), _NO_WALK):
-            states = dict(zip(levels, part))
-            for r in skip:
-                states.setdefault(column[r], default)
-            values = read(states)
+        for part in walk(levels):
+            values = read(dict(zip(levels, part)))
             # an itemgetter of one key returns that key's value, not a tuple
             yield values if len(column) > 1 else (values,)
 
@@ -591,7 +578,9 @@ def _route(params: AlphaLike | MeanPhiParams, method: Method):
     by a per-row call, by :func:`_denominator` in the column pass), so that
     a row's merge adds up every state it reads.  ``den_start`` is A, or 1.0
     on the phi route, whose denominator walks log((1-phi) + i phi), the
-    walk of p_k = 1.  ``budget`` is the largest total a row may have:
+    walk of p_k = 1.  A zero-probability category's walk is asked only
+    for level 0: the rows that observe it are ``-inf`` (:func:`_ended`)
+    and take no walk.  ``budget`` is the largest total a row may have:
     :data:`MAX_TOTAL_COUNT`, or infinity on the O(K) lgamma route.
     ``terms`` is the lgamma route's per-row cost, 2K + 2, or None on the
     sum-of-logs routes, whose cost is the counts they read.
@@ -612,9 +601,9 @@ def _denominator(walk, den_start: float, levels: Iterable[int]) -> list[list[flo
     one list per part, with every value negated, which is exact.
 
     The column pass's denominator walk; a per-row call negates the parts of
-    its one state in place, to the same bits.  Only walked states are
-    negated: a ``-inf`` row's placeholder (:data:`_NO_WALK`) is not, or its
-    sum would be -inf + inf.
+    its one state in place, to the same bits.  The column pass reads no
+    ``-inf`` row (:func:`_loglik_columns`), so every state it negates is
+    finite.
     """
     return [list(map(neg, part)) for part in walk(den_start, levels)]
 
@@ -628,9 +617,11 @@ def _row_parts(walk, starts: Sequence[float], levels: Sequence[int]) -> list[flo
 def _ended(starts: Sequence[float], counts: Sequence[int]) -> int | None:
     """A row's terms if its ``counts`` observe a zero-probability category, else None.
 
-    Only such a category has a ``-inf`` walk, so such a row is ``-inf``.
-    Its terms are the counts of the categories before the first one, the
-    numerator logs a walk would take up to it; no walk is taken.
+    That category's first term is log(0), so the row is ``-inf``: this is
+    the one place that decides a row is impossible, for the table
+    evaluator and every per-row call alike.  The row's terms are the
+    counts of the categories before the first such one, the numerator logs
+    a walk would take up to it; no walk is taken.
     """
     if 0.0 not in starts:
         return None
@@ -651,12 +642,13 @@ def _merge(rows: Iterable[Iterable[float]]) -> list[float]:
     multinomial kernel and the coefficient, whose values are plain floats;
     a per-row call's value is checked by its :class:`LogLikResult`.
 
-    One ``isnan`` of the values' sum checks them all.  A value is ``-inf``
-    or finite, and a finite one is far below the largest float: under 1e23
-    on the sum-of-logs routes (at most 2^64 logs), and at worst a few of
-    its ulps (about 1e292) on the lgamma route, where two lgammas near it
-    cancel.  So no table's sum reaches ``+inf``, and it is NaN only where
-    a value is.
+    One ``isnan`` of the values' sum checks them all.  No merged row is
+    ``-inf``: the rows that are (:func:`_ended`) are never merged.  So a
+    value is finite or NaN, and a finite one is far below the largest
+    float: under 1e23 on the sum-of-logs routes (at most 2^64 logs), and at
+    worst a few of its ulps (about 1e292) on the lgamma route, where two
+    lgammas near it cancel.  So no table's sum reaches ``+inf``, and it is
+    NaN only where a value is.
     """
     values = list(map(math.fsum, rows))
     if math.isnan(sum(values)):
@@ -691,29 +683,37 @@ def _loglik_columns(
     per-row evaluator of ``method`` on row r, bit for bit, and so are the
     errors, checked before any pass starts (:func:`_check_table`).
 
-    The columns go to :func:`_column_states` as they are: it walks each
+    The ``-inf`` rows are found first: only where a category has
+    probability 0 are rows read whole, and :func:`_ended` ends each that
+    observes one.  They are removed from the columns, and the rest go to
+    :func:`_column_states` (no pass runs if no row is left): it walks each
     category once, up to its largest count, and the denominator once, up
-    to the largest total.  Its columns, one per part of each of the K + 1
-    states, are zipped once into each row's parts, in the order the
-    per-row call lists them, and merged as it merges them.  Only where a
-    category has probability 0 are rows read whole, to find the ``-inf``
-    rows; such a row is left out of every walk, so no walk takes more logs
-    (or lgamma calls) than the per-row calls.
+    to the largest total, so no walk takes more logs (or lgamma calls)
+    than the per-row calls.  Its columns, one per part of each of the
+    K + 1 states, are zipped once into each row's parts, in the order the
+    per-row call lists them, and merged as it merges them.  Each ``-inf``
+    row's value and terms are then put back at its index.
     """
     starts, walk, den_start, budget, terms = _route(params, method)
     _check_table(len(starts), columns, budget)
     *counts, totals = columns
+    costs = [terms] * len(totals) if terms is not None else [2 * n for n in totals]
     ended = {}
     if 0.0 in starts:
         ended = {
             r: n for r, row in enumerate(zip(*counts)) if (n := _ended(starts, row)) is not None
         }
+    if ended:
+        live = [r for r in range(len(totals)) if r not in ended]
+        columns = [[column[r] for r in live] for column in columns]
     walks = [partial(walk, start) for start in starts]
     walks.append(partial(_denominator, walk, den_start))
-    values = _merge(zip(*_column_states(walks, columns, ended)))
-    costs = [terms] * len(totals) if terms is not None else [2 * n for n in totals]
-    for r, n in ended.items():
-        costs[r] = n
+    values = _merge(zip(*_column_states(walks, columns))) if columns[-1] else []
+    if ended:
+        rest = iter(values)
+        values = [_NEG_INF if r in ended else next(rest) for r in range(len(totals))]
+        for r, n in ended.items():
+            costs[r] = n
     return values, costs
 
 

@@ -3,6 +3,7 @@
 import math
 import struct
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from dmnll import (
     mn_loglik_kernel,
     params_from_mean_phi,
 )
+from dmnll import core
 from dmnll.core import _loglik_table
 from conftest import random_alpha, random_counts
 
@@ -249,6 +251,50 @@ def test_rows_match_per_row_calls_bitwise(case):
         assert [(r.value.hex(), r.terms, r.method) for r in batched] == [
             (r.value.hex(), r.terms, r.method) for r in expected
         ]
+
+
+@st.composite
+def tables_with_impossible_rows(draw):
+    """:func:`tables_with_params` with K >= 2, one category of weight 0, and
+    one to three ``-inf`` rows inserted that observe it, every count of which
+    is far above any other row's count."""
+    rows, alpha, weights, phi = draw(tables_with_params().filter(lambda case: len(case[2]) > 1))
+    k = len(weights)
+    zero = draw(st.integers(min_value=0, max_value=k - 1))
+    weights = [0 if j == zero else w for j, w in enumerate(weights)]
+    if not any(weights):
+        weights[(zero + 1) % k] = 1
+    impossible = st.lists(st.integers(min_value=1000, max_value=3000), min_size=k, max_size=k)
+    for row in draw(st.lists(impossible, min_size=1, max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows, alpha, weights, phi
+
+
+@given(case=tables_with_impossible_rows())
+# the -inf rows are the first and the last
+@example(case=([[1000, 1000, 1000], [2, 0, 4], [0, 0, 3], [3000, 1, 3000]], [1.0] * 3, [1, 0, 2], 0.3))
+# every row is -inf
+@example(case=([[1000, 2000]], [1.0, 1.0], [0, 1], 0.0))
+@settings(max_examples=100, deadline=None)
+def test_no_walk_goes_past_the_rows_that_observe_no_impossible_category(case):
+    """A row that observes a zero-probability category takes no walk, in a
+    table or on its own: no walk's largest level exceeds the largest total
+    among the other rows."""
+    rows, _, weights, phi = case
+    mp = MeanPhiParams([w / sum(weights) for w in weights], phi)
+    walk = core._sum_terms
+    walked = []
+
+    def spy(term, start, step, levels):
+        walked.append(list(levels))
+        return walk(term, start, step, walked[-1])
+
+    with mock.patch.object(core, "_sum_terms", spy):
+        dmn_loglik_rows(mp, rows)
+        for x in rows:
+            dmn_loglik_phi(mp, x)
+    live = [sum(x) for x in rows if not any(x_k and not w for x_k, w in zip(x, weights))]
+    assert max((n for levels in walked for n in levels), default=0) <= max(live, default=0)
 
 
 def _neumaier(terms):
