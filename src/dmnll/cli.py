@@ -1,23 +1,22 @@
 """Command-line front end: evaluate likelihoods, fit parameters, run benchmarks.
 
 Input count tables are UTF-8 CSV, one observation per row, integer cells,
-with an optional header row of category names; lines starting with ``#``
-are ignored, and so is a leading byte order mark.  A table has two
-readers.  One whose lines, joined into one block of cells, can hold only
-JSON integers (no quote, point, exponent, ``n``, ``N`` or bracket) is
-parsed whole, straight into columns, K count columns and their totals:
-one ``json.loads`` decodes the block, each count column is a slice of its
+with an optional header row of category names; blank lines and lines
+starting with ``#`` are ignored, and so is a leading byte order mark.  A
+table has two readers, and is read by the first that takes it.  One
+whose lines, joined into one block of cells, can hold only JSON integers
+(no quote, point, exponent, ``n``, ``N`` or bracket) is parsed whole,
+straight into columns, K count columns and their totals: one
+``json.loads`` decodes the block, each count column is a slice of its
 ints, and the counts are checked all at once for negatives, and for 64
 bits by their row totals, which bound them.  ``dmnll loglik`` hands those
 columns to the table evaluator as they are, and ``dmnll fit`` hands the
 parsed table, a ``Dataset``, to the fit itself, with no per-row objects.
-Blank and comment lines are filtered out before that decode only where
-the text holds a ``#`` or its first line is blank: a blank line anywhere
-else makes the decode refuse, and only then is the table filtered and
-decoded again.  Every other table, or one that decode refuses, is read
-line by line, each line's cells checked in order into one
-``CountVector`` per row, so an error names the first bad cell in row
-order and its line.
+Every other table is read line by line, each line's cells checked in
+order into one ``CountVector`` per row, so an error names the first bad
+cell in row order and its line.  Only that reader drops blank and
+comment lines: a table with one before its last row is read line by
+line, several times slower than the decode would read it.
 
 Results are printed as CSV or canonical JSON (``--format``), to stdout or
 ``--out``.  Exit codes: 0 success, 1 computation/domain error, 2 usage,
@@ -104,33 +103,22 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
 
     The first row that is neither blank nor a comment is taken as a header
     unless every cell in it is an integer literal (even one too long for
-    ``int``), in which case the table is treated as headerless.
+    ``int``), in which case the table is treated as headerless.  A leading
+    byte order mark is dropped, so it cannot make a data row a header.
 
-    A table has two readers.  One whose cells can only be JSON integers is
-    read whole, straight into columns (:func:`_read_columns`): every line's
-    width is checked at once, one ``json.loads`` converts all its cells, and
-    the counts are checked for negatives at once, and for 64 bits by their
-    row totals.  Every other table, or one that reader refuses anywhere, is
-    read line by line (:func:`_scan`), each line's cells checked in order
-    into one :class:`CountVector` per row, so that an error names the first
-    bad cell and its line.  A leading byte order mark is dropped, so it cannot make
-    a data row a header.
-
-    Blank and comment lines are filtered out only where the whole-table
-    reader would not refuse them.  It refuses a blank or whitespace-only
-    line anywhere but first, so the lines are filtered before it reads them
-    only if the text holds a ``#`` or its first line is blank (a one-column
-    table would read that line as the header ``('',)``), and after a
-    refusal only if filtering drops a line.
+    A table is decoded once, and read line by line if that decode refuses
+    it.  The decode (:func:`_read_columns`) reads the text, less its
+    trailing whitespace, straight into columns: every line's width is
+    checked at once, one ``json.loads`` converts all its cells, and the
+    counts are checked for negatives at once, and for 64 bits by their row
+    totals.  The line scan (:func:`_scan`) checks each line's cells in
+    order into one :class:`CountVector` per row, so that an error names the
+    first bad cell and its line.  Only the scan drops blank and comment
+    lines, so a table with one before its last row pays for it: a 10 000-row
+    table with a comment first parses several times slower than without.
     """
     text = text.removeprefix("\ufeff")
-    lines = text.splitlines()
-    clean = "#" not in text and bool(lines and lines[0].strip())
-    read = _read_columns(lines) if clean else None
-    if read is None:
-        content = [raw for raw in lines if (s := raw.strip()) and not s.startswith("#")]
-        if not clean or len(content) < len(lines):
-            read = _read_columns(content)
+    read = _read_columns(text.rstrip().splitlines())
     if read is None:
         return _scan(text, source)
     header, columns = read
@@ -140,9 +128,10 @@ def parse_count_table(text: str, source: str = "<input>") -> CountTable:
 def _read_columns(lines: list[str]) -> tuple[tuple[str, ...] | None, list] | None:
     """The header, if any, and the K count columns and their totals of a
     table's lines, read by one ``json.loads``; ``None`` for a table it does
-    not read.  A blank or whitespace-only line but the first is an empty
-    cell, or a character JSON refuses, so a table that holds one is
-    refused; a blank first line would be read as a header.
+    not read.  It refuses a blank first line and a first line that holds a
+    ``#``, which it would read as a header; a blank or comment line after
+    the first is an empty cell, or a character JSON refuses, so a table
+    that holds one is refused too.
 
     It reads a table whose every line has the header's width, whose cells
     JSON reads as integers (:func:`_json_ints`) and whose counts are
@@ -152,7 +141,7 @@ def _read_columns(lines: list[str]) -> tuple[tuple[str, ...] | None, list] | Non
     nothing of where another table fails: :func:`_scan` reads and checks
     that one.
     """
-    if not lines:
+    if not lines or not lines[0].strip() or "#" in lines[0]:
         return None
     try:
         names = tuple(map(str.strip, _split_cells(lines[0])))
@@ -585,7 +574,7 @@ _COMMANDS = {
 _HELP_FLAGS = {"-h": None, "--help": None}
 
 #: A token that starts with a dash and is still a value: a negative number.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
 def parse_args(argv) -> SimpleNamespace:
@@ -683,7 +672,7 @@ def _read_flag(token: str, flags) -> tuple | None:
         _refuse(f"ambiguous option: {token} could match {', '.join(matches)}")
     if matches:
         return matches[0], value
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
+    if re.match(_NEGATIVE_NUMBER, token) or " " in token:
         return None
     return None, None
 

@@ -378,9 +378,9 @@ def _check_table(
             _check_budget(n, budget)
 
 
-def _columns(rows: Sequence[CountVector]) -> list[Sequence[int]]:
+def _columns(rows: Sequence[CountVector]) -> list[list[int]]:
     """The columns of checked ``rows``: the K count columns, then the totals."""
-    return [*zip(*(x.counts for x in rows)), [x.total for x in rows]]
+    return [*map(list, zip(*(x.counts for x in rows))), [x.total for x in rows]]
 
 
 @dataclass(frozen=True, init=False)
@@ -388,10 +388,11 @@ class Dataset:
     """A sequence of count observations sharing the same K categories.
 
     ``columns`` holds the observations transposed once, as the fit and the
-    table evaluator read them: the K count columns, then the totals.
+    table evaluator read them: a list of the K count columns, then the
+    totals, each a list of ints.
 
     ``_from_columns`` is a parser's way in: a parsed table's columns,
-    already checked, which are kept as they are.  Such a dataset builds
+    already checked lists, which are kept as they are.  Such a dataset builds
     its ``observations`` only when they are first read.  The command
     line's parsed table, ``dmnll.cli.CountTable``, is one.
     """

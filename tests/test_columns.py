@@ -90,8 +90,8 @@ def test_loglik_builds_no_count_vector(tmp_path, capsys, flags, no_count_vectors
     assert out.count("\n") == 300 + 2
 
 
-# p_1 = 0 and every row observes category 1: no walk covers any level, so
-# every column yields only the placeholder state of the -inf rows
+# p_1 = 0 and every row observes category 1: every row is -inf, so no
+# column pass runs and no walk is called
 NO_WALK_PHI = MeanPhiParams((0.5, 0.0, 0.5), 0.1)
 
 
@@ -180,3 +180,21 @@ def test_fit_builds_no_count_vector(tmp_path, capsys, no_count_vectors):
     assert cli.main(["fit", str(path), "--format", "json"]) == 0
     out, err = capsys.readouterr()
     assert err == "" and '"alpha_hat"' in out
+
+
+def test_every_dataset_holds_list_columns():
+    sampled = sample_dmn_dataset((2.0, 0.5, 3.0), 40, 6, seed=3)
+    rows = [x.counts for x in sampled.observations]
+    plain = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    quoted = "".join(f'"{row[0]}",' + ",".join(map(str, row[1:])) + "\n" for row in rows)
+    datasets = [
+        core.Dataset(rows),
+        cli.parse_count_table(plain),
+        cli.parse_count_table(quoted),
+        cli.parse_count_table("# drawn with seed 3\n" + plain),
+        sampled,
+    ]
+    for d in datasets:
+        assert type(d.columns) is list
+        assert all(type(column) is list for column in d.columns)
+        assert d.columns == datasets[0].columns

@@ -73,3 +73,19 @@ def test_a_command_loads_no_argparse_gettext_or_locale(tmp_path):
         "print(code, sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
     )
     assert out.splitlines()[-1] == "0 []"
+
+
+def test_cli_import_compiles_no_negative_number_pattern():
+    # only a command line with a dash-led token the flags do not name needs it
+    out = run_fresh(
+        "import re\n"
+        "compiled = []\n"
+        "compile = re.compile\n"
+        "def spy(pattern, *args, **kwargs):\n"
+        "    compiled.append(pattern)\n"
+        "    return compile(pattern, *args, **kwargs)\n"
+        "re.compile = spy\n"
+        "import dmnll.cli\n"
+        r"print(r'^-\d+$|^-\d*\.\d+$' in compiled)"
+    )
+    assert out.strip() == "False"

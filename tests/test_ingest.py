@@ -6,6 +6,7 @@ errors, of the versions kept in ``conftest`` (every cell through the
 import re
 import sys
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -458,3 +459,39 @@ def test_the_two_readers_agree(texts):
     scanned = as_lists(_scan(text, "<input>"))
     assert as_lists(parse_count_table(text)) == scanned
     assert as_lists(parse_count_table(respelled)) == scanned
+
+
+@st.composite
+def plain_table(draw):
+    """The lines of a table the one-call decode reads, and its newline."""
+    width = draw(st.integers(1, 4))
+    count = st.integers(0, (1 << 63) - 1)
+    rows = draw(st.lists(st.lists(count, min_size=width, max_size=width), min_size=1, max_size=6))
+    lines = []
+    if draw(st.booleans()):
+        names = st.sampled_from(["a", "b", "c_1", " d "])
+        lines.append(",".join(draw(st.lists(names, min_size=width, max_size=width))))
+    lines += [",".join(draw(PAD_JSON) + str(n) + draw(PAD_JSON) for n in row) for row in rows]
+    return lines, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+BLANK_LINES = st.sampled_from(["", " ", "\t", " \t ", "\x1f", "\u3000"])
+NOTE_LINES = st.sampled_from(["# note", " # x,y", "#", "#1,2"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(plain_table(), st.lists(BLANK_LINES, min_size=1, max_size=3),
+       st.one_of(BLANK_LINES, NOTE_LINES), st.booleans())
+def test_only_a_table_that_ends_in_blank_lines_is_decoded(table, trailing, noise, first):
+    lines, newline = table
+    with patch.object(dmnll.cli, "_scan", wraps=_scan) as scan:
+        clean = parse_count_table(newline.join(lines) + newline)
+        # blank and whitespace-only lines at the end leave the table to the decode
+        ended = parse_count_table(newline.join(lines + trailing) + newline)
+        assert scan.call_count == 0
+        assert (ended.columns, ended.column_names) == (clean.columns, clean.column_names)
+        # a blank or comment line first, or before the last row, sends it to the scan
+        at = 0 if first else len(lines) - 1
+        noisy = parse_count_table(newline.join([*lines[:at], noise, *lines[at:]]) + newline)
+        assert scan.call_count == 1
+        assert (noisy.columns, noisy.column_names) == (clean.columns, clean.column_names)
