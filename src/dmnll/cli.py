@@ -530,7 +530,7 @@ _COMMANDS = {
             "--phi": (float, None, None, "over-dispersion in [0, 1)"),
             "--method": (
                 str,
-                ("exact", "lgamma", "phi"),
+                tuple(m.value for m in Method),
                 None,
                 "evaluation route (default: exact with --alpha, phi with --p/--phi)",
             ),

@@ -3,16 +3,33 @@ import csv
 import itertools
 import math
 import numbers
+import os
 
 import mpmath
 import numpy as np
 import pytest
 
+import dmnll
 from dmnll import AlphaParams, CountVector, DmnError, DomainError
 from dmnll.bench import REFERENCE_DPS
 from dmnll.cli import EXIT_USAGE, CountTable, TableParseError, cmd_bench, cmd_fit, cmd_loglik
 from dmnll.core import _as_alpha, _checked
 from dmnll.estimate import ALPHA_FLOOR, DEFAULT_MAX_ITER, DEFAULT_TOL
+
+
+def child_env(unbuffered=None):
+    """The environment for a child ``python`` that must import the same
+    ``dmnll`` as the tests: ``os.environ`` with the directory that holds
+    that package first on ``PYTHONPATH``.  ``unbuffered`` True sets
+    ``PYTHONUNBUFFERED``, False drops it, and None leaves it as inherited."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dmnll.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    elif unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from dmnll import (
 )
 from dmnll.bench import canonical_json
 from dmnll.cli import main, parse_args, parse_count_table, TableParseError
-from conftest import OldTailCounts, old_build_parser
+from conftest import OldTailCounts, child_env, old_build_parser
 
 
 def run_cli(capsys, *argv):
@@ -587,7 +587,7 @@ COMMANDS = {
 
 def run_dmnll(*argv, stdin=b""):
     return subprocess.run(
-        [sys.executable, "-m", "dmnll", *argv], input=stdin, capture_output=True
+        [sys.executable, "-m", "dmnll", *argv], input=stdin, capture_output=True, env=child_env()
     )
 
 
@@ -717,11 +717,11 @@ def test_a_failed_stdout_write_is_one_usage_error(
 
 def run_into(stdout, argv, unbuffered):
     """Run ``python -m dmnll`` with stdout on the descriptor ``stdout``."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
-        [sys.executable, "-m", "dmnll", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+        [sys.executable, "-m", "dmnll", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=child_env(unbuffered),
     )
 
 
@@ -764,6 +764,7 @@ def run_closed(fd, argv):
         stdout=subprocess.PIPE if fd == 0 else None,
         stderr=subprocess.PIPE,
         preexec_fn=lambda: os.close(fd),
+        env=child_env(),
     )
 
 
@@ -828,15 +829,12 @@ SUBPROCESS_FAILURES = {**FAILING_COMMANDS, "refused": (lambda table: ["--bogus"]
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 def test_a_full_disk_on_stderr_keeps_the_exit_code(counts_file, command, stdout, unbuffered):
     argv, code = SUBPROCESS_FAILURES[command]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "wb") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "dmnll", *argv(counts_file("1,2\n3,1\n"))],
             stdout=full if stdout == "full" else subprocess.PIPE,
             stderr=full,
-            env=env,
+            env=child_env(unbuffered),
         )
     assert proc.returncode == code
     assert proc.stdout in (None, b"")
@@ -902,7 +900,7 @@ def test_a_line_break_in_an_echoed_token_or_path_is_escaped(capsys, tmp_path, ec
 
 def test_module_entry_point_exists():
     proc = subprocess.run(
-        [sys.executable, "-m", "dmnll", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "dmnll", "--help"], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0
     assert "loglik" in proc.stdout

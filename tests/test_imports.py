@@ -1,19 +1,16 @@
 """What importing the package and its CLI loads: each command pays only for what it uses."""
 
-import os
 import subprocess
 import sys
 
 import dmnll
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(dmnll.__file__)))
+from conftest import child_env
 
 
 def run_fresh(code: str) -> str:
     """Run ``code`` in a fresh interpreter that imports this package; return stdout."""
-    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -89,3 +86,10 @@ def test_cli_import_compiles_no_negative_number_pattern():
         r"print(r'^-\d+$|^-\d*\.\d+$' in compiled)"
     )
     assert out.strip() == "False"
+
+
+def test_a_child_imports_the_dmnll_under_test(monkeypatch, tmp_path):
+    # a PYTHONPATH of the caller's own, here one with no dmnll, does not hide it
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    out = run_fresh("import dmnll\nprint(dmnll.__file__)")
+    assert out.strip() == dmnll.__file__

@@ -446,19 +446,16 @@ def json_table(draw):
     return newline.join(lines) + end, newline.join(respelled) + end
 
 
-def as_lists(table):
-    return [list(column) for column in table.columns], table.column_names
-
-
 @settings(max_examples=300, deadline=None)
 @given(json_table())
 def test_the_two_readers_agree(texts):
     text, respelled = texts
     content = [raw for raw in text.splitlines() if (s := raw.strip()) and not s.startswith("#")]
     assert _read_columns(content) is not None  # the one-call decode reads it
-    scanned = as_lists(_scan(text, "<input>"))
-    assert as_lists(parse_count_table(text)) == scanned
-    assert as_lists(parse_count_table(respelled)) == scanned
+    scanned = _scan(text, "<input>")
+    # the filtered text is decoded even where a noise line sends ``text`` to the scan
+    for table in map(parse_count_table, ["\n".join(content), text, respelled]):
+        assert (table.columns, table.column_names) == (scanned.columns, scanned.column_names)
 
 
 @st.composite
