@@ -42,7 +42,6 @@ import math
 import os
 import re
 import sys
-from functools import partial, reduce
 from itertools import repeat
 from operator import add
 from types import SimpleNamespace
@@ -159,27 +158,15 @@ def _read_columns(lines: list[str]) -> tuple[tuple[str, ...] | None, list] | Non
     if values is None or "-" in joined and min(values) < 0:
         return None
     counts = [values[k::width] for k in range(width)]
-    totals = _row_totals(counts)
+    # each row's total, added a column at a time in C, with no tuple per row
+    totals = counts[0][:]
+    for column in counts[1:]:
+        totals = [*map(add, totals, column)]
     # a non-negative count is at most its row's total, so only a table with
     # a total past 64 bits has its cells checked for 64 bits
     if max(totals) > _MAX_COUNT and max(values) > _MAX_COUNT:
         return None
     return header, [*counts, totals]
-
-
-#: The most count columns one nest of ``map(add, ...)`` calls adds: each
-#: column is one more level of C calls per row, and a nest as deep as a
-#: table of 100 000 columns overflows the C stack.
-_NEST = 64
-
-
-def _row_totals(counts: list[list[int]]) -> list[int]:
-    """Each row's total of the count columns, added a column at a time by
-    nested ``map(add, ...)`` calls, in C, with no tuple per row."""
-    totals = list(reduce(partial(map, add), counts[:_NEST]))
-    for k in range(_NEST, len(counts), _NEST):
-        totals = list(reduce(partial(map, add), counts[k : k + _NEST], totals))
-    return totals
 
 
 #: What a block of cells must hold none of for JSON to read it as integers

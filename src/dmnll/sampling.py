@@ -39,7 +39,7 @@ def sample_dmn_dataset(
     # multinomial refuses
     np.minimum(probs, 1.0, out=probs)
     counts = rng.multinomial(n_trials, probs)
-    return Dataset(row for row in counts.tolist())
+    return Dataset(counts.tolist())
 
 
 def sample_mn_dataset(
@@ -50,4 +50,4 @@ def sample_mn_dataset(
     _check_sizes(n_trials, n_obs)
     rng = _rng(seed)
     counts = rng.multinomial(n_trials, np.tile(probs, (n_obs, 1)))
-    return Dataset(row for row in counts.tolist())
+    return Dataset(counts.tolist())

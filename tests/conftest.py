@@ -72,6 +72,44 @@ def walk_reference(alpha, x) -> float:
         return float(num - den)
 
 
+def phi_reference(p, phi, x) -> float:
+    """The phi route's value, sum over j < x_k of log(p_k (1-phi) + j phi)
+    less sum over i < N of log((1-phi) + i phi), from log-gamma values in
+    mpmath: the oracle of ``dmn_loglik_phi``.  It calls no walk of
+    ``dmnll.core``.
+
+    At phi > 0 every term is log phi plus log(a_k + j), with
+    a_k = p_k (1-phi)/phi and A = (1-phi)/phi formed in mpmath from the
+    given floats; the N log phi terms cancel, which leaves
+    sum over x_k > 0 of [loggamma(a_k + x_k) - loggamma(a_k)] less
+    [loggamma(A + N) - loggamma(A)].  The precision adds to
+    ``REFERENCE_DPS`` the digits of A + N, whose log-gamma values cancel,
+    taken from -log10 phi since A overflows a float at phi = 5e-324; and
+    the decimal digits the positive p_k span, so that a_k + x_k keeps the
+    digits of the smallest a_k.  ``-inf`` where an observed category has
+    p_k = 0, and 0.0 where N = 0; at phi = 0, sum of x_k log p_k.
+    """
+    observed = [(p_k, x_k) for p_k, x_k in zip(p, x) if x_k > 0]
+    if any(p_k == 0 for p_k, _ in observed):
+        return float("-inf")
+    n = sum(x)
+    if n == 0:
+        return 0.0
+    positive = [p_k for p_k in p if p_k > 0]
+    span = math.log10(max(positive)) - math.log10(min(positive))
+    digits = max(-math.log10(phi), math.log10(n)) if phi > 0 else 0.0
+    with mpmath.workdps(REFERENCE_DPS + math.ceil(digits + 1) + math.ceil(span)):
+        if phi == 0:
+            return float(mpmath.fsum(x_k * mpmath.log(p_k) for p_k, x_k in observed))
+        phi = mpmath.mpf(phi)
+        scale = (1 - phi) / phi
+        num = mpmath.fsum(
+            mpmath.loggamma(a_k + x_k) - mpmath.loggamma(a_k)
+            for a_k, x_k in ((mpmath.mpf(p_k) * scale, x_k) for p_k, x_k in observed)
+        )
+        return float(num - (mpmath.loggamma(scale + n) - mpmath.loggamma(scale)))
+
+
 class OldTailCounts:
     """The fixed point's statistics as one histogram per category, each
     evaluated on its own: the reference the flat level grid of

@@ -8,6 +8,7 @@ scipy.stats cross-checks.
 import math
 import struct
 import types
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from dmnll import (
 )
 from dmnll import core
 from dmnll.core import MAX_TOTAL_COUNT
+
+from conftest import phi_reference
 
 NEG_INF = float("-inf")
 
@@ -462,6 +465,45 @@ class TestPhiForm:
         res = dmn_loglik_phi(MeanPhiParams((p_1, 1.0), phi), (1, 0))
         assert res.value == pytest.approx(math.log(p_1), abs=1e-12)
         assert res.terms == 2
+
+    def test_matches_a_high_precision_reference(self):
+        cases = phi_reference_cases()
+        # the reference walks nothing of the code it checks
+        with patch.object(core, "_sum_terms", side_effect=AssertionError("walked")):
+            refs = [phi_reference(p, phi, x) for p, phi, x in cases]
+        for (p, phi, x), ref in zip(cases, refs):
+            value = dmn_loglik_phi(MeanPhiParams(p, phi), x).value
+            if ref == NEG_INF:
+                assert value == NEG_INF, (p, phi, x)
+            else:
+                assert abs(value - ref) <= max(1e-11, 2 * math.ulp(ref)), (p, phi, x, value, ref)
+
+
+def phi_reference_cases():
+    """(p, phi, x) cases for the phi route: a fixed grid, a subnormal p_k,
+    a zero-probability category, and 100 seeded random ones."""
+    p = (0.1, 0.2, 0.3, 0.4)
+    phis = (0.0, 1e-12, 1e-6, 1 / 200, 0.3, 0.9, 0.999, 5e-324, 1 - 2**-53)
+    cases = [
+        (p, phi, tuple(n * m for m in shape))
+        for phi in phis
+        for shape in ((1, 1, 1, 1), (1, 2, 3, 4))
+        for n in (1, 10, 100, 1000)
+    ]
+    cases += [
+        ((1e-310, 1 - 1e-310), phi, x)
+        for phi in (0.0, 1e-3, 0.5, 5e-324)
+        for x in ((1, 0), (2, 3), (0, 100), (50, 1000))
+    ]
+    cases += [((0.5, 0.0, 0.5), phi, x) for phi in (0.0, 0.25) for x in ((2, 0, 3), (2, 1, 3))]
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        k = int(rng.integers(1, 7))
+        p = rng.dirichlet(np.ones(k)).tolist()
+        phi = rng.choice([0.0, 5e-324, 1 - 2**-53, 10 ** rng.uniform(-15, 0), rng.uniform()])
+        x = rng.multinomial(int(10 ** rng.uniform(0, 3)), p).tolist()
+        cases.append((p, float(phi), x))
+    return cases
 
 
 # ---------------------------------------------------------------------------

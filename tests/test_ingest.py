@@ -357,6 +357,20 @@ def test_a_wide_table_is_totalled_a_few_columns_at_a_time():
     assert (table.k, table.columns[-1]) == (width, [width, 2 * width])
 
 
+@pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 128, 129, 1000])
+def test_row_totals_hold_at_every_width(width):
+    # three rows of distinct counts, at widths on and either side of 64
+    rows = [[r * width + k + 1 for k in range(width)] for r in range(3)]
+    text = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    with patch.object(dmnll.cli, "_scan", wraps=_scan) as scan:
+        columns = parse_count_table(text).columns
+    assert not scan.called  # the decode read it
+    assert columns == _scan(text, "<input>").columns
+    assert columns[-1] == list(map(sum, rows))
+    # a one-column table's totals are a list of their own
+    assert all(column is not columns[-1] for column in columns[:-1])
+
+
 # ---------------------------------------------------------------------------
 # integer literals
 # ---------------------------------------------------------------------------
