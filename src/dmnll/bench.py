@@ -15,9 +15,12 @@ The sum-of-logs evaluator costs O(N) log calls and the log-gamma baseline
 costs O(K) lgamma calls, so the first scales linearly in ``n`` while the
 second stays flat; the records carry exact term counts so that claim can be
 checked rather than assumed.  The reference evaluates the log-gamma
-closed form in mpmath, at 40 significant digits plus the digits its
-log-gamma differences cancel: O(K) like the baseline, and independent of
-the sum-of-logs walk.
+closed form with ``mpmath.libmp``'s functions at an explicit precision, 40
+significant digits plus the digits its log-gamma differences cancel: O(K)
+like the baseline, and independent of the sum-of-logs walk.  It reads and
+sets none of mpmath's global state, so it is safe to call from any number
+of threads, and it evaluates the log-gamma of each parameter once per
+precision, however many grid points share it.
 
 Records serialize to CSV (header ``n,method,abs_error,rel_error,
 wall_time_ns,terms``) and to a versioned JSON document.  Everything except
@@ -27,6 +30,7 @@ apart from it.
 
 from __future__ import annotations
 
+import functools
 import gc
 import math
 import numbers
@@ -97,17 +101,25 @@ def reference_loglik(alpha: AlphaLike, x: CountsLike) -> float:
     """The log-gamma closed form, evaluated in at least 40-digit arithmetic.
 
     Sums ``loggamma(a_k + x_k) - loggamma(a_k)`` over the categories with
-    x_k > 0 and subtracts ``loggamma(A + N) - loggamma(A)``, with
-    ``mpmath.loggamma``: O(K) whatever N, and a formula independent of the
-    evaluators' sums of logs.  The differences cancel by about the digits of
-    the largest log-gamma value, so the working precision is
-    :data:`REFERENCE_DPS` plus those digits, plus the decimal digits the
-    parameters span, so that a result as small as the least parameter (at
-    alpha = (1e-300, 1), x = (0, 5) it is about -2.28e-300) keeps its
-    digits in A and in the differences.  The parameter total A is the
-    mpmath sum of the parameters, and the result is rounded to a Python
+    x_k > 0 and subtracts ``loggamma(A + N) - loggamma(A)``: O(K) whatever
+    N, and a formula independent of the evaluators' sums of logs.  The
+    differences cancel by about the digits of the largest log-gamma value,
+    so the working precision is :data:`REFERENCE_DPS` (read on each call)
+    plus those digits, plus the decimal digits the parameters span, so that
+    a result as small as the least parameter (at alpha = (1e-300, 1),
+    x = (0, 5) it is about -2.28e-300) keeps its digits in A and in the
+    differences.  The parameter total A is the exact sum of the parameters
+    rounded once to that precision, and the result is rounded to a Python
     float once at the end.  Serves as ground truth when measuring evaluator
     error.
+
+    Every step is a ``mpmath.libmp`` function given the precision and
+    round-to-nearest explicitly: the operations ``mpmath.fsum``,
+    ``mpmath.loggamma``, ``+``, ``-`` and ``float`` perform inside
+    ``mpmath.workdps``, so the float is theirs bit for bit, without setting
+    mpmath's global precision that another thread's call would run at.
+    ``loggamma`` of each a_k and of A is memoized per value and precision.
+    The arguments are validated before any mpmath work.
     """
     alpha = _as_alpha(alpha)
     x = _checked(len(alpha.alpha), x)
@@ -120,16 +132,34 @@ def reference_loglik(alpha: AlphaLike, x: CountsLike) -> float:
     # digit only at as many more digits as the a_k span.  Their ratio can
     # overflow a float, the difference of their logs cannot.
     digits += math.ceil(math.log10(max(alpha.alpha)) - math.log10(min(alpha.alpha)))
-    with mpmath.workdps(REFERENCE_DPS + digits):
-        a = [mpmath.mpf(a_k) for a_k in alpha.alpha]
-        a_sum = mpmath.fsum(a)
-        num = mpmath.fsum(
-            mpmath.loggamma(a_k + x_k) - mpmath.loggamma(a_k)
-            for a_k, x_k in zip(a, x.counts)
-            if x_k
-        )
-        den = mpmath.loggamma(a_sum + x.total) - mpmath.loggamma(a_sum)
-        return float(num - den)
+    libmp = mpmath.libmp
+    prec = libmp.dps_to_prec(REFERENCE_DPS + digits)
+    a = [libmp.from_float(a_k) for a_k in alpha.alpha]
+    a_sum = libmp.mpf_sum(a, prec, "n")
+    num = libmp.mpf_sum(
+        [_loggamma_rise(a_k, x_k, prec) for a_k, x_k in zip(a, x.counts) if x_k], prec, "n"
+    )
+    den = _loggamma_rise(a_sum, x.total, prec)
+    return libmp.to_float(libmp.mpf_sub(num, den, prec, "n"), rnd="n")
+
+
+def _loggamma_rise(a, n: int, prec: int):
+    """``loggamma(a + n) - loggamma(a)`` for a raw mpf ``a`` > 0, each step
+    rounded to nearest at ``prec`` bits; ``loggamma(a)`` comes from the memo."""
+    libmp = mpmath.libmp
+    top = libmp.mpf_loggamma(libmp.mpf_add(a, libmp.from_int(n), prec, "n"), prec, "n")
+    return libmp.mpf_sub(top, _parameter_loggamma(a, prec), prec, "n")
+
+
+@functools.lru_cache(maxsize=1024)
+def _parameter_loggamma(a, prec: int):
+    """``loggamma(a)`` of a raw mpf parameter (an a_k or A) at ``prec`` bits.
+
+    Every point of a sweep shares its parameters, so each is evaluated once
+    per precision.  Keyed by value and precision: a value at one precision
+    is never handed out at another.
+    """
+    return mpmath.libmp.mpf_loggamma(a, prec, "n")
 
 
 @dataclass(frozen=True)

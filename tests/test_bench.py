@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -132,6 +135,98 @@ class TestWalkOracle:
         value = reference_loglik(alpha, x)
         monkeypatch.setattr(bench, "REFERENCE_DPS", bench.REFERENCE_DPS + 20)
         assert reference_loglik(alpha, x).hex() == value.hex()
+
+
+class TestParameterMemo:
+    """Each parameter's log-gamma (every a_k, and A) is evaluated once per
+    value and precision, however many points share it."""
+
+    @pytest.fixture
+    def loggamma_precs(self, monkeypatch):
+        """The precision of every ``mpf_loggamma`` call, from an empty memo."""
+        precs = []
+        real = bench.mpmath.libmp.mpf_loggamma
+
+        def counted(a, prec, rnd):
+            precs.append(prec)
+            return real(a, prec, rnd)
+
+        monkeypatch.setattr(bench.mpmath.libmp, "mpf_loggamma", counted)
+        bench._parameter_loggamma.cache_clear()
+        yield precs
+        bench._parameter_loggamma.cache_clear()
+
+    def test_a_sweep_evaluates_each_parameter_once(self, loggamma_precs):
+        # five points, every x_k > 0, all at one working precision
+        cfg = accuracy_defaults(n_values=(1, 2, 3, 4, 5))
+        run_accuracy_experiment(cfg)
+        k, points = len(cfg.p), len(cfg.n_values)
+        assert len(set(loggamma_precs)) == 1
+        # K + 1 parameters once, then loggamma(a_k + x_k) and loggamma(A + N) per point
+        assert len(loggamma_precs) == (k + 1) + points * (k + 1)
+
+    def test_a_warm_call_returns_the_cold_value(self, loggamma_precs):
+        alpha, x = (0.7, 2.3, 11.0), (4, 0, 9)
+        cold = reference_loglik(alpha, x)
+        assert len(loggamma_precs) == 2 * 3
+        warm = reference_loglik(alpha, x)
+        assert len(loggamma_precs) == 2 * 3 + 3
+        assert warm.hex() == cold.hex()
+
+    def test_a_higher_precision_is_evaluated_anew(self, monkeypatch, loggamma_precs):
+        alpha, x = (1e300, 2.0), (3, 4)
+        reference_loglik(alpha, x)
+        low = loggamma_precs[0]
+        monkeypatch.setattr(bench, "REFERENCE_DPS", bench.REFERENCE_DPS + 20)
+        del loggamma_precs[:]
+        high = reference_loglik(alpha, x)
+        # both a_k, A and the three rises again, none at the lower precision
+        assert len(loggamma_precs) == 2 * 3
+        assert min(loggamma_precs) > low
+        bench._parameter_loggamma.cache_clear()
+        assert reference_loglik(alpha, x).hex() == high.hex()
+
+
+class TestReferenceUnderThreads:
+    def test_concurrent_calls_return_the_single_thread_floats(self):
+        # working precisions from about 45 to about 340 digits, interleaved:
+        # a call that ran at another call's precision returns another float
+        cases = [((10.0 ** -e, 1.0), (0, 5)) for e in range(0, 301, 40)]
+        cases += [((10.0 ** -e, 1.0, 3.0), (1, 4, 9)) for e in range(20, 301, 40)]
+        cases += [((8e307, 8e307), (2, 1)), ((0.7, 2.3, 11.0), (4, 0, 9))]
+        expected = [reference_loglik(alpha, x).hex() for alpha, x in cases]
+        threads = (os.cpu_count() or 1) + 4
+        rounds = max(1, 24 // threads)  # about 400 calls in all on a small machine
+        wrong, errors = [], []
+
+        def work(shift):
+            try:
+                order = cases[shift:] + cases[:shift]
+                want = expected[shift:] + expected[:shift]
+                for _ in range(rounds):
+                    for (alpha, x), hex_value in zip(order, want):
+                        got = reference_loglik(alpha, x).hex()
+                        if got != hex_value:
+                            wrong.append((alpha, x, got, hex_value))
+            except BaseException as exc:  # re-raised on the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=work, args=(i % len(cases),)) for i in range(threads)
+            ]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        if errors:
+            raise errors[0]
+        assert wrong == []
 
 
 class TestConfig:
