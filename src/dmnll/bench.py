@@ -36,7 +36,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import mpmath
 
@@ -180,9 +180,16 @@ class BenchRecord:
             raise DomainError("wall_time_ns must be > 0")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep definition: counts pattern, (p, phi) parameters, and grid.
+
+    Accepted: ``base_counts`` any counts :class:`CountVector` takes, ``p``
+    a sequence of floats, ``phi`` a float, ``n_values`` an iterable of
+    integers, and ``repeats`` and ``evaluations_per_point`` integers (numpy's
+    included).  The fields hold them normalized, and the generated signature
+    shows these stored types instead: a :class:`CountVector`, a tuple of
+    floats, a float, a tuple of plain ints and two plain ints.
 
     ``repeats`` and ``evaluations_per_point`` govern only the runtime
     sweep; the accuracy sweep evaluates each grid point once, but they are
@@ -190,27 +197,19 @@ class ExperimentConfig:
     must fit in 64 bits and within the evaluators' budget, so that no sweep
     fails after it has run the points below it.  Every size must be an
     integer (numpy's included); no size is truncated, and a bad one is a
-    :class:`DomainError`.
+    :class:`DomainError`.  :func:`dataclasses.replace` validates alike.
     """
 
     base_counts: CountVector
     p: tuple[float, ...]
     phi: float
-    n_values: tuple[int, ...]
-    repeats: int
-    evaluations_per_point: int
+    n_values: tuple[int, ...] = DEFAULT_N_GRID
+    repeats: int = DEFAULT_REPEATS
+    evaluations_per_point: int = DEFAULT_EVALS_PER_POINT
 
-    def __init__(
-        self,
-        base_counts: CountsLike,
-        p: Sequence[float],
-        phi: float,
-        n_values: Iterable[int] = DEFAULT_N_GRID,
-        repeats: int = DEFAULT_REPEATS,
-        evaluations_per_point: int = DEFAULT_EVALS_PER_POINT,
-    ):
-        base = _as_counts(base_counts)
-        mp = MeanPhiParams(p, phi)
+    def __post_init__(self):
+        base = _as_counts(self.base_counts)
+        mp = MeanPhiParams(self.p, self.phi)
         if mp.phi <= 0.0:
             raise DomainError(
                 "experiments need phi > 0 so the concentration parameters exist"
@@ -219,24 +218,23 @@ class ExperimentConfig:
             raise DomainError(
                 f"p has {len(mp.p)} categories, base_counts has {len(base.counts)}"
             )
-        grid = tuple(_iterate(n_values, "n_values must be a sequence of integers"))
+        grid = tuple(_iterate(self.n_values, "n_values must be a sequence of integers"))
         if not grid:
             raise DomainError("n_values must not be empty")
         for n in grid:
             _check_least("n_values", n, 0, "n_values must be non-negative")
         if any(b >= a for a, b in zip(grid[1:], grid)):
             raise DomainError("n_values must be strictly increasing")
+        repeats, evals = self.repeats, self.evaluations_per_point
         _check_least("repeats", repeats, 3, f"repeats must be >= 3, got {repeats}")
-        _check_least(
-            "evaluations_per_point", evaluations_per_point, 1, "evaluations_per_point must be >= 1"
-        )
+        _check_least("evaluations_per_point", evals, 1, "evaluations_per_point must be >= 1")
         object.__setattr__(self, "base_counts", base)
         object.__setattr__(self, "p", mp.p)
         object.__setattr__(self, "phi", mp.phi)
         # every size is an integer now; int() makes numpy's plain, as records need
         object.__setattr__(self, "n_values", tuple(map(int, grid)))
         object.__setattr__(self, "repeats", int(repeats))
-        object.__setattr__(self, "evaluations_per_point", int(evaluations_per_point))
+        object.__setattr__(self, "evaluations_per_point", int(evals))
         _checked(len(base.counts), self.counts_at(grid[-1]))
 
     def alpha(self) -> AlphaParams:
@@ -398,29 +396,19 @@ def _records(records: Iterable[BenchRecord]) -> Iterator[BenchRecord]:
         yield r
 
 
+_NAMES = CSV_HEADER.split(",")
+
+
+def _values(r: BenchRecord) -> tuple:
+    """A record's values, in the order of :data:`CSV_HEADER`'s names."""
+    return (r.n_scale, r.method.value, r.abs_error, r.rel_error, r.wall_time_ns, r.terms)
+
+
 def records_to_csv(records: Iterable[BenchRecord]) -> str:
-    lines = [CSV_HEADER]
-    for r in _records(records):
-        lines.append(
-            f"{r.n_scale},{r.method.value},{r.abs_error!r},{r.rel_error!r},"
-            f"{r.wall_time_ns},{r.terms}"
-        )
+    lines = [CSV_HEADER, *(",".join(map(str, _values(r))) for r in _records(records))]
     return "\n".join(lines) + "\n"
 
 
 def records_to_json(records: Iterable[BenchRecord]) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "records": [
-            {
-                "n": r.n_scale,
-                "method": r.method.value,
-                "abs_error": r.abs_error,
-                "rel_error": r.rel_error,
-                "wall_time_ns": r.wall_time_ns,
-                "terms": r.terms,
-            }
-            for r in _records(records)
-        ],
-    }
-    return canonical_json(payload)
+    rows = [dict(zip(_NAMES, _values(r))) for r in _records(records)]
+    return canonical_json({"schema_version": SCHEMA_VERSION, "records": rows})

@@ -1,5 +1,7 @@
 """Tests for the reference evaluator, sweep machinery, and serialization."""
 
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -25,7 +27,15 @@ from dmnll import (
     run_runtime_experiment,
     runtime_defaults,
 )
-from dmnll.bench import CSV_HEADER, canonical_json, records_to_csv, records_to_json
+from dmnll.bench import (
+    CSV_HEADER,
+    DEFAULT_EVALS_PER_POINT,
+    DEFAULT_N_GRID,
+    DEFAULT_REPEATS,
+    canonical_json,
+    records_to_csv,
+    records_to_json,
+)
 from dmnll.core import MAX_TOTAL_COUNT
 from conftest import random_alpha, random_counts, walk_reference
 
@@ -279,6 +289,35 @@ class TestConfig:
         assert {type(n) for n in (*cfg.n_values, cfg.repeats, cfg.evaluations_per_point)} == {int}
         json.loads(records_to_json(run_accuracy_experiment(cfg)))
 
+    def test_signature(self):
+        keyword = inspect.Parameter.POSITIONAL_OR_KEYWORD
+        empty = inspect.Parameter.empty
+        assert [
+            (p.name, p.kind, p.default)
+            for p in inspect.signature(ExperimentConfig).parameters.values()
+        ] == [
+            ("base_counts", keyword, empty),
+            ("p", keyword, empty),
+            ("phi", keyword, empty),
+            ("n_values", keyword, DEFAULT_N_GRID),
+            ("repeats", keyword, DEFAULT_REPEATS),
+            ("evaluations_per_point", keyword, DEFAULT_EVALS_PER_POINT),
+        ]
+
+    def test_positional_and_keyword_construction_agree(self):
+        args = ((1, 2), (0.25, 0.75), 0.1, (0, 4), 5, 6)
+        names = [p.name for p in inspect.signature(ExperimentConfig).parameters.values()]
+        assert ExperimentConfig(*args) == ExperimentConfig(**dict(zip(names, args)))
+
+    def test_replace_validates_and_normalizes(self):
+        cfg = accuracy_defaults()
+        with pytest.raises(DomainError) as info:
+            dataclasses.replace(cfg, repeats=2)
+        assert str(info.value) == "repeats must be >= 3, got 2"
+        grid = dataclasses.replace(cfg, n_values=np.arange(1, 3)).n_values
+        assert grid == (1, 2)
+        assert {type(n) for n in grid} == {int}
+
     def test_largest_point_is_checked_at_construction(self):
         # counts of 2^62 sum to 2^64, past the budget; 2 * 2^62 is past 64 bits
         with pytest.raises(ResourceLimitError, match="evaluator budget"):
@@ -390,6 +429,24 @@ class TestSerialization:
         assert doc["records"][0]["n"] == 2
         # canonical form re-encodes byte for byte
         assert canonical_json(doc) == text
+
+    @pytest.mark.parametrize(
+        "sweep, cfg",
+        [
+            (run_accuracy_experiment, accuracy_defaults(n_values=(0, 1, 7), repeats=3)),
+            (run_runtime_experiment, runtime_defaults(n_values=(1, 2), repeats=3,
+                                                      evaluations_per_point=2)),
+        ],
+    )
+    def test_both_formats_carry_the_same_records(self, sweep, cfg):
+        records = sweep(cfg)
+        header, *rows = records_to_csv(records).splitlines()
+        names = header.split(",")
+        docs = json.loads(records_to_json(records))["records"]
+        assert len(rows) == len(docs) == len(records)
+        for row, doc in zip(rows, docs):
+            assert set(names) == set(doc)
+            assert row.split(",") == [str(doc[name]) for name in names]
 
     @pytest.mark.parametrize("serialize", [records_to_csv, records_to_json])
     @pytest.mark.parametrize(
