@@ -4,9 +4,9 @@
 evaluators, the domain types and :class:`Dataset`, the table the fit
 takes, and the constants ``MAX_TOTAL_COUNT`` and ``SIMPLEX_TOL``.  The
 names of ``estimate`` and ``sampling`` (which need numpy) and of
-``bench`` (which needs mpmath), and those three submodules themselves,
-are imported on first use (PEP 562), so code that only evaluates
-likelihoods or builds a dataset loads neither dependency.
+``bench`` (which loads the standard library's ``decimal``), and those
+three submodules themselves, are imported on first use (PEP 562), so code
+that only evaluates likelihoods or builds a dataset loads none of them.
 """
 
 import importlib

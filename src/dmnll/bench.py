@@ -15,12 +15,14 @@ The sum-of-logs evaluator costs O(N) log calls and the log-gamma baseline
 costs O(K) lgamma calls, so the first scales linearly in ``n`` while the
 second stays flat; the records carry exact term counts so that claim can be
 checked rather than assumed.  The reference evaluates the log-gamma
-closed form with ``mpmath.libmp``'s functions at an explicit precision, 40
-significant digits plus the digits its log-gamma differences cancel: O(K)
-like the baseline, and independent of the sum-of-logs walk.  It reads and
-sets none of mpmath's global state, so it is safe to call from any number
-of threads, and it evaluates the log-gamma of each parameter once per
-precision, however many grid points share it.
+closed form in the standard library's :mod:`decimal`, at an explicit
+precision of 40 significant digits plus the digits its log-gamma
+differences cancel: O(K) like the baseline, and independent of the
+sum-of-logs walk.  Its log-gamma shifts small arguments up by the
+recurrence and sums Stirling's series.  It reads and sets no decimal
+context but its own, so it is safe to call from any number of threads,
+and it evaluates the log-gamma of each parameter once per precision,
+however many grid points share it.
 
 Records serialize to CSV (header ``n,method,abs_error,rel_error,
 wall_time_ns,terms``) and to a versioned JSON document.  Everything except
@@ -30,15 +32,14 @@ apart from it.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import gc
 import math
 import numbers
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator
-
-import mpmath
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import (
     SCHEMA_VERSION,
@@ -108,18 +109,18 @@ def reference_loglik(alpha: AlphaLike, x: CountsLike) -> float:
     plus those digits, plus the decimal digits the parameters span, so that
     a result as small as the least parameter (at alpha = (1e-300, 1),
     x = (0, 5) it is about -2.28e-300) keeps its digits in A and in the
-    differences.  The parameter total A is the exact sum of the parameters
-    rounded once to that precision, and the result is rounded to a Python
+    differences.  Each a_k is rounded once to that precision, and the
+    parameter total A is their exact sum rounded once, so at K = 1 A is
+    a_k and the result is exactly 0.0.  The result is rounded to a Python
     float once at the end.  Serves as ground truth when measuring evaluator
     error.
 
-    Every step is a ``mpmath.libmp`` function given the precision and
-    round-to-nearest explicitly: the operations ``mpmath.fsum``,
-    ``mpmath.loggamma``, ``+``, ``-`` and ``float`` perform inside
-    ``mpmath.workdps``, so the float is theirs bit for bit, without setting
-    mpmath's global precision that another thread's call would run at.
-    ``loggamma`` of each a_k and of A is memoized per value and precision.
-    The arguments are validated before any mpmath work.
+    The arithmetic is the standard library's :mod:`decimal`, every
+    operation a method of a context this call makes, so no thread's or
+    default decimal context is read or set, and concurrent calls at
+    different precisions do not meet.  ``loggamma`` of each a_k and of A is
+    memoized per value and precision.  The arguments are validated before
+    any decimal arithmetic.
     """
     alpha = _as_alpha(alpha)
     x = _checked(len(alpha.alpha), x)
@@ -132,39 +133,275 @@ def reference_loglik(alpha: AlphaLike, x: CountsLike) -> float:
     # digit only at as many more digits as the a_k span.  Their ratio can
     # overflow a float, the difference of their logs cannot.
     digits += math.ceil(math.log10(max(alpha.alpha)) - math.log10(min(alpha.alpha)))
-    libmp = mpmath.libmp
-    prec = libmp.dps_to_prec(REFERENCE_DPS + digits)
-    a = [libmp.from_float(a_k) for a_k in alpha.alpha]
-    a_sum = libmp.mpf_sum(a, prec, "n")
-    num = libmp.mpf_sum(
-        [_loggamma_rise(a_k, x_k, prec) for a_k, x_k in zip(a, x.counts) if x_k], prec, "n"
+    ctx = _context(REFERENCE_DPS + digits)
+    a = [ctx.create_decimal_from_float(a_k) for a_k in alpha.alpha]
+    a_sum = _rounded_sum(a, ctx)
+    num = _rounded_sum(
+        [_loggamma_rise(a_k, x_k, ctx) for a_k, x_k in zip(a, x.counts) if x_k], ctx
     )
-    den = _loggamma_rise(a_sum, x.total, prec)
-    return libmp.to_float(libmp.mpf_sub(num, den, prec, "n"), rnd="n")
+    den = _loggamma_rise(a_sum, x.total, ctx)
+    return float(ctx.to_sci_string(ctx.subtract(num, den)))
 
 
-def _loggamma_rise(a, n: int, prec: int):
-    """``loggamma(a + n) - loggamma(a)`` for a raw mpf ``a`` > 0, each step
-    rounded to nearest at ``prec`` bits; ``loggamma(a)`` comes from the memo."""
-    libmp = mpmath.libmp
-    top = libmp.mpf_loggamma(libmp.mpf_add(a, libmp.from_int(n), prec, "n"), prec, "n")
-    return libmp.mpf_sub(top, _parameter_loggamma(a, prec), prec, "n")
+def _context(prec: int) -> decimal.Context:
+    """A decimal context at ``prec`` significant digits, rounding to nearest.
+
+    Every field is given, because one left out is copied from
+    ``decimal.DefaultContext``, which any code may change.
+    """
+    return decimal.Context(
+        prec=prec,
+        rounding=decimal.ROUND_HALF_EVEN,
+        Emin=decimal.MIN_EMIN,
+        Emax=decimal.MAX_EMAX,
+        capitals=1,
+        clamp=0,
+        flags=[],
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+    )
+
+
+def _rounded_sum(values, ctx: decimal.Context) -> decimal.Decimal:
+    """The exact sum of ``values``, rounded once at ``ctx``'s precision."""
+    exact = ctx.copy()
+    exact.prec = decimal.MAX_PREC
+    return ctx.plus(functools.reduce(exact.add, values))
+
+
+def _loggamma_rise(a: decimal.Decimal, n: int, ctx: decimal.Context) -> decimal.Decimal:
+    """``loggamma(a + n) - loggamma(a)`` for ``a`` > 0, each step rounded to
+    nearest at ``ctx``'s precision; ``loggamma(a)`` comes from the memo."""
+    top = _loggamma(ctx.add(a, n), ctx)
+    return ctx.subtract(top, _parameter_loggamma(ctx.to_sci_string(a), ctx.prec))
 
 
 @functools.lru_cache(maxsize=1024)
-def _parameter_loggamma(a, prec: int):
-    """``loggamma(a)`` of a raw mpf parameter (an a_k or A) at ``prec`` bits.
+def _parameter_loggamma(a: str, prec: int) -> decimal.Decimal:
+    """``loggamma(a)`` of a parameter (an a_k or A), given as its exact
+    decimal string, at ``prec`` digits.
 
     Every point of a sweep shares its parameters, so each is evaluated once
     per precision.  Keyed by value and precision: a value at one precision
-    is never handed out at another.
+    is never handed out at another.  The key is a string because a lookup
+    compares keys with ``==``, and ``==`` of two Decimals reads the
+    thread's decimal context.
     """
-    return mpmath.libmp.mpf_loggamma(a, prec, "n")
+    ctx = _context(prec)
+    return _loggamma(ctx.create_decimal(a), ctx)
+
+
+#: Digits that :func:`_loggamma` works at beyond its context's: its ``ln``
+#: loses up to 12 (:func:`_ln`), and the shift's product about 3 more.
+_GUARD_DIGITS = 20
+
+#: ``ln`` reduces its argument by a power of e^h, h = 2^-_LN_STEP_BITS.
+_LN_STEP_BITS = 32
+
+_HALF = _context(1).create_decimal("0.5")
+
+
+def _loggamma(z: decimal.Decimal, ctx: decimal.Context) -> decimal.Decimal:
+    """``loggamma(z)`` of a Decimal z > 0, rounded to ``ctx``'s precision,
+    to within about a unit in the last digit of the larger of
+    ``|loggamma(z)|`` and 1.
+
+    Below the bound of :func:`_stirling_tables`, z is shifted up by the
+    recurrence, ``loggamma(z) = loggamma(z + m) - ln(z (z + 1) ... (z + m - 1))``,
+    with one ``ln`` of the running product; at or above it, Stirling's
+    series converges to the working precision (:func:`_stirling`).
+    """
+    work = ctx.copy()
+    work.prec += _GUARD_DIGITS
+    tables = _stirling_tables(work.prec)
+    bound = tables.bound
+    if not work.compare(z, bound).is_signed():
+        return ctx.plus(_stirling(z, work, tables))
+    # z + m > bound however float rounds z, and m is even: the factors are
+    # multiplied in pairs, and (z + j)(z + j + 1) grows by 4(z + j) + 6 from
+    # one pair to the next
+    m = bound + 2 - int(float(work.to_sci_string(z)))
+    m += m & 1
+    product = pair = work.multiply(z, work.add(z, 1))
+    step = work.add(work.multiply(z, 4), 6)
+    for _ in range(m // 2 - 1):
+        pair = work.add(pair, step)
+        step = work.add(step, 8)
+        product = work.multiply(product, pair)
+    w = work.add(z, m)
+    return ctx.plus(work.subtract(_stirling(w, work, tables), _ln(product, work, tables)))
+
+
+def _stirling(w: decimal.Decimal, ctx: decimal.Context, tables: _Tables) -> decimal.Decimal:
+    """Stirling's series for ``loggamma(w)``, w at least the shift bound:
+    ``(w - 1/2) ln w - w + ln(2 pi)/2`` plus ``c_k / w^(2k - 1)`` for as many k
+    as the terms stay above the last digit of the result."""
+    value = ctx.add(
+        ctx.subtract(ctx.multiply(ctx.subtract(w, _HALF), _ln(w, ctx, tables)), w),
+        tables.half_ln_2pi,
+    )
+    # a term below this power of ten is past the result's last digit, and
+    # one above it needs as many digits as it is above; a w past the float
+    # range needs no term
+    floor = value.adjusted() - ctx.prec
+    log10_w = math.log10(float(ctx.to_sci_string(w)))
+    digits = []
+    for k, size in enumerate(tables.sizes, 1):
+        above = size - (2 * k - 1) * log10_w - floor
+        if above < 0:
+            break
+        digits.append(int(above) + 3)
+    if not digits:
+        return value
+    # Horner's rule from the least term, each step at the digits it needs
+    horner = ctx.copy()
+    inverse_square = ctx.divide(1, ctx.multiply(w, w))
+    coefficients = tables.coefficients
+    acc = coefficients[len(digits) - 1]
+    for k in range(len(digits) - 1, 0, -1):
+        horner.prec = digits[k - 1]
+        acc = horner.fma(acc, inverse_square, coefficients[k - 1])
+    return ctx.add(value, ctx.divide(acc, w))
+
+
+def _ln(x: decimal.Decimal, ctx: decimal.Context, tables: _Tables) -> decimal.Decimal:
+    """``ln x`` of a Decimal x > 0 at ``ctx``'s precision, less up to 12 digits.
+
+    With x = m 10^e and m in [1, 10), ``ln x = e ln 10 + j h + ln r``, where
+    ``j h`` (h = 2^-32) is the float ``ln m`` rounded to a multiple of h
+    and r = m / e^(j h).  e^(j h) is a product of cached powers, one for
+    each hexadecimal digit d of j, ``e^(d 16^i h)`` for the digit at i;
+    their errors grow with their exponents, to about 10^12 times the last
+    digit for e^(2^32 h).  r is within about h of 1, so
+    ``ln r = 2 atanh((r - 1)/(r + 1))`` converges in prec / 19 terms, where
+    ``ctx.ln`` is about eight times as slow at 350 digits.
+    """
+    e = x.adjusted()
+    m = ctx.scaleb(x, -e)
+    j = round(math.log(float(ctx.to_sci_string(m))) * 2**_LN_STEP_BITS)
+    divisor, rest = None, j
+    for powers in tables.exp_digits:
+        if rest & 15:
+            power = powers[rest & 15]
+            divisor = power if divisor is None else ctx.multiply(divisor, power)
+        rest >>= 4
+        if not rest:
+            break
+    r = m if divisor is None else ctx.divide(m, divisor)
+    u = ctx.divide(ctx.subtract(r, 1), ctx.add(r, 1))
+    total = ctx.add(ctx.multiply(e, tables.ln10), ctx.divide(j, 2**_LN_STEP_BITS))
+    if u.is_zero():
+        return total
+    u_square = ctx.multiply(u, u)
+    atanh, power, k = u, u, 1
+    floor = u.adjusted() - ctx.prec
+    while True:
+        k += 2
+        power = ctx.multiply(power, u_square)
+        term = ctx.divide(power, k)
+        if term.adjusted() < floor:
+            break
+        atanh = ctx.add(atanh, term)
+    return ctx.add(total, ctx.multiply(atanh, 2))
+
+
+class _Tables(NamedTuple):
+    """What :func:`_stirling` and :func:`_ln` need at one precision."""
+
+    bound: int
+    coefficients: tuple[decimal.Decimal, ...]
+    sizes: tuple[int, ...]
+    half_ln_2pi: decimal.Decimal
+    exp_digits: tuple[tuple[decimal.Decimal, ...], ...]
+    ln10: decimal.Decimal
+
+
+@functools.lru_cache(maxsize=64)
+def _stirling_tables(prec: int) -> _Tables:
+    """:class:`_Tables` at ``prec`` digits.
+
+    * ``bound``: the shift bound, about 0.6 ``prec``, where the shift's
+      multiplications and the series' terms cost about the least together.
+    * ``coefficients``: ``c_k = B_2k / (2k (2k - 1))``, as many as the
+      series needs at the bound, from integer tangent numbers:
+      ``c_k = (-1)^(k-1) T_k / ((2k - 1) 4^k (4^k - 1))``; ``sizes``: the
+      adjusted exponent of each, plus one, bounding its log10.
+    * ``exp_digits``: for each hexadecimal place i of a 36-bit j, the powers
+      ``e^(d 16^i h)``, d < 16, h = 2^-32: e^h from its Taylor series, and
+      each ``e^(16^i h)`` the 16th power of the one before; ``ln10``.
+    * ``half_ln_2pi``: ``ln(2 pi)/2``, from Stirling's series at the bound,
+      whose ``loggamma`` is ``ln((bound - 1)!)``.
+    """
+    ctx = _context(prec)
+    bound = max(8, (3 * prec) // 5)
+    # |c_k| is about 2 (2k - 2)! / (2 pi)^(2k)
+    n, log10_bound = 1, math.log10(bound)
+    while (
+        math.log10(2) + math.lgamma(2 * n + 1) / math.log(10)
+        - 2 * (n + 1) * math.log10(2 * math.pi)
+        - (2 * n + 1) * log10_bound
+    ) >= -prec - 2:
+        n += 1
+    tangents = _tangent_numbers(n)
+    coefficients = tuple(
+        ctx.divide((-1) ** (k - 1) * tangents[k - 1], (2 * k - 1) * 4**k * (4**k - 1))
+        for k in range(1, n + 1)
+    )
+    sizes = tuple(c.adjusted() + 1 for c in coefficients)
+    h = ctx.divide(1, 2**_LN_STEP_BITS)
+    term, base, k = h, ctx.add(1, h), 1
+    while term.adjusted() >= -prec:
+        k += 1
+        term = ctx.divide(ctx.multiply(term, h), k)
+        base = ctx.add(base, term)
+    exp_digits = []
+    for _ in range(9):
+        powers = [None, base]
+        for _ in range(14):
+            powers.append(ctx.multiply(powers[-1], base))
+        exp_digits.append(tuple(powers))
+        base = ctx.multiply(powers[15], base)
+    zero = ctx.create_decimal(0)
+    tables = _Tables(bound, coefficients, sizes, zero, tuple(exp_digits), zero)
+    # ln 10 from ln 2 and ln 5, which need no ln 10
+    ln2, ln5 = (_ln(ctx.create_decimal(v), ctx, tables) for v in (2, 5))
+    tables = tables._replace(ln10=ctx.add(ln2, ln5))
+    log_factorial = _ln(ctx.create_decimal(math.factorial(bound - 1)), ctx, tables)
+    stirling = _stirling(ctx.create_decimal(bound), ctx, tables)
+    return tables._replace(half_ln_2pi=ctx.subtract(log_factorial, stirling))
+
+
+#: T_1, T_2, ... as far as a precision has needed them so far.  Every value
+#: it takes is a prefix of the same sequence, so a caller cannot tell which
+#: one it read, and two threads that both extend it store equal tuples.
+_tangents: tuple[int, ...] = ()
+
+
+def _tangent_numbers(n: int) -> tuple[int, ...]:
+    """The tangent numbers T_1 .. T_n (1, 2, 16, 272, ...), the odd
+    derivatives of tan at 0, by the in-place recurrence of Brent and
+    Zimmermann (Modern Computer Arithmetic, 4.7.2): O(n^2) integer steps,
+    taken only when no precision has needed as many before."""
+    global _tangents
+    if len(_tangents) < n:
+        t = [0, 1] + [0] * (n - 1)
+        for k in range(2, n + 1):
+            t[k] = (k - 1) * t[k - 1]
+        for k in range(2, n + 1):
+            for j in range(k, n + 1):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        _tangents = tuple(t[1:])
+    return _tangents[:n]
 
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One benchmark observation at a single grid point and method."""
+    """One benchmark observation at a single grid point and method.
+
+    ``method`` must be a :class:`Method`, and ``n_scale``, ``wall_time_ns``
+    and ``terms`` integers (numpy's included), which the fields hold as
+    plain ints, so that a record serializes whatever built it.  Anything
+    else is a :class:`DomainError`.
+    """
 
     n_scale: int
     method: Method
@@ -174,10 +411,15 @@ class BenchRecord:
     terms: int
 
     def __post_init__(self):
+        if not isinstance(self.method, Method):
+            raise DomainError(f"method must be a Method, got {self.method!r}")
+        _check_size("n_scale", self.n_scale)
+        _check_size("terms", self.terms)
         if self.abs_error < 0.0:
             raise DomainError("abs_error must be >= 0")
-        if self.wall_time_ns <= 0:
-            raise DomainError("wall_time_ns must be > 0")
+        _check_least("wall_time_ns", self.wall_time_ns, 1, "wall_time_ns must be > 0")
+        for name in ("n_scale", "wall_time_ns", "terms"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -318,7 +560,7 @@ def _time_evaluations(calls, repeats: int, evals: int) -> list[int]:
 def _median(values):
     """The middle of ``values`` sorted, or the mean of the two middle ones:
     ``statistics.median``, without importing ``statistics`` and, with it,
-    ``fractions`` and ``decimal``."""
+    ``fractions``, which nothing else here needs."""
     ordered = sorted(values)
     mid = len(ordered) // 2
     return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2

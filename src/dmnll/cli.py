@@ -467,7 +467,7 @@ def cmd_fit(args) -> str:
 
 
 def cmd_bench(args) -> str:
-    from . import bench  # imports mpmath, which only this command needs
+    from . import bench  # imports decimal, which only this command needs
 
     # looked up on the module now, so that a rebound name takes effect
     defaults = getattr(bench, f"{args.experiment}_defaults")

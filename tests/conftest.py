@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import itertools
 import math
 import numbers
@@ -108,6 +109,60 @@ def phi_reference(p, phi, x) -> float:
             for a_k, x_k in ((mpmath.mpf(p_k) * scale, x_k) for p_k, x_k in observed)
         )
         return float(num - (mpmath.loggamma(scale + n) - mpmath.loggamma(scale)))
+
+
+def mpmath_reference(alpha, x) -> float:
+    """The log-gamma closed form on ``mpmath.libmp`` at an explicit precision:
+    ``dmnll.bench.reference_loglik`` as it was before it moved to
+    :mod:`decimal`, kept as that reference's independent oracle.
+
+    Sums ``loggamma(a_k + x_k) - loggamma(a_k)`` over the categories with
+    x_k > 0 and subtracts ``loggamma(A + N) - loggamma(A)``, at
+    ``REFERENCE_DPS`` digits plus the digits of the largest log-gamma value
+    plus the decimal digits the parameters span.  The parameter total A is
+    the exact sum of the parameters rounded once, and the result is
+    rounded to a Python float once at the end.  Every step is a
+    ``mpmath.libmp`` function given the precision and round-to-nearest
+    explicitly, so no global mpmath state is read or set.  ``loggamma`` of
+    each a_k and of A is memoized per value and precision.
+    """
+    alpha = _as_alpha(alpha)
+    x = _checked(len(alpha.alpha), x)
+    if x.total == 0:
+        return 0.0
+    # A + N is the largest argument, and loggamma(z) is about z log z.
+    top = alpha.sum_a + x.total
+    digits = math.ceil(math.log10(top) + math.log10(max(1.0, math.log(top))))
+    # A result can be as small as the least a_k, which A holds to its last
+    # digit only at as many more digits as the a_k span.  Their ratio can
+    # overflow a float, the difference of their logs cannot.
+    digits += math.ceil(math.log10(max(alpha.alpha)) - math.log10(min(alpha.alpha)))
+    libmp = mpmath.libmp
+    prec = libmp.dps_to_prec(REFERENCE_DPS + digits)
+    a = [libmp.from_float(a_k) for a_k in alpha.alpha]
+    a_sum = libmp.mpf_sum(a, prec, "n")
+    num = libmp.mpf_sum(
+        [_mpmath_loggamma_rise(a_k, x_k, prec) for a_k, x_k in zip(a, x.counts) if x_k],
+        prec,
+        "n",
+    )
+    den = _mpmath_loggamma_rise(a_sum, x.total, prec)
+    return libmp.to_float(libmp.mpf_sub(num, den, prec, "n"), rnd="n")
+
+
+def _mpmath_loggamma_rise(a, n: int, prec: int):
+    """``loggamma(a + n) - loggamma(a)`` for a raw mpf ``a`` > 0, each step
+    rounded to nearest at ``prec`` bits; ``loggamma(a)`` comes from the memo."""
+    libmp = mpmath.libmp
+    top = libmp.mpf_loggamma(libmp.mpf_add(a, libmp.from_int(n), prec, "n"), prec, "n")
+    return libmp.mpf_sub(top, _mpmath_parameter_loggamma(a, prec), prec, "n")
+
+
+@functools.lru_cache(maxsize=1024)
+def _mpmath_parameter_loggamma(a, prec: int):
+    """``loggamma(a)`` of a raw mpf parameter (an a_k or A) at ``prec`` bits,
+    once per value and precision."""
+    return mpmath.libmp.mpf_loggamma(a, prec, "n")
 
 
 class OldTailCounts:

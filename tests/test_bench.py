@@ -1,6 +1,8 @@
 """Tests for the reference evaluator, sweep machinery, and serialization."""
 
+import contextvars
 import dataclasses
+import decimal
 import inspect
 import json
 import math
@@ -37,7 +39,7 @@ from dmnll.bench import (
     records_to_json,
 )
 from dmnll.core import MAX_TOTAL_COUNT
-from conftest import random_alpha, random_counts, walk_reference
+from conftest import mpmath_reference, random_alpha, random_counts, walk_reference
 
 
 class TestReference:
@@ -53,7 +55,11 @@ class TestReference:
         huge = CountVector([MAX_TOTAL_COUNT + 1])
         with pytest.raises(ResourceLimitError) as per_row:
             dmn_loglik_exact((1.0,), huge)
-        monkeypatch.setattr(bench, "mpmath", None)
+
+        def no_loggamma(z, ctx):
+            raise AssertionError("reference_loglik reached its log-gamma")
+
+        monkeypatch.setattr(bench, "_loggamma", no_loggamma)
         with pytest.raises(DimensionMismatchError):
             reference_loglik((1.0, 2.0), (1, 2, 3))
         with pytest.raises(ResourceLimitError) as reference:
@@ -103,6 +109,35 @@ class TestReference:
             assert float(closed_form) == expected
         assert reference_loglik(alpha, x) == expected
 
+    def test_series_coefficients_are_bernoulli_ratios(self):
+        # c_k = B_2k / (2k (2k - 1)) from the tangent numbers 1, 2, 16, 272, ...
+        assert bench._tangent_numbers(7) == (1, 2, 16, 272, 7936, 353792, 22368256)
+        assert bench._tangent_numbers(3) == (1, 2, 16)
+        tables = bench._stirling_tables(60)
+        ctx = bench._context(60)
+        bernoulli = [(1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730)]
+        expected = [
+            ctx.divide(num, den * 2 * k * (2 * k - 1))
+            for k, (num, den) in enumerate(bernoulli, 1)
+        ]
+        assert tables.coefficients[:6] == tuple(expected)
+
+    def test_reads_and_sets_no_decimal_context(self, monkeypatch):
+        # a default context that rounds to 3 digits, overflows past 10^10 and
+        # traps every rounding is never copied, and no thread's context made
+        cases = [((0.7, 2.3, 11.0), (4, 0, 9)), ((1e-300, 1.0), (0, 5)), ((8e307, 8e307), (2, 1))]
+        expected = [reference_loglik(alpha, x).hex() for alpha, x in cases]
+        bench._parameter_loggamma.cache_clear()
+        bench._stirling_tables.cache_clear()
+        monkeypatch.setattr(decimal.DefaultContext, "prec", 3)
+        monkeypatch.setattr(decimal.DefaultContext, "rounding", decimal.ROUND_DOWN)
+        monkeypatch.setattr(decimal.DefaultContext, "Emax", 10)
+        monkeypatch.setitem(decimal.DefaultContext.traps, decimal.Inexact, True)
+        fresh = contextvars.Context()
+        got = fresh.run(lambda: [reference_loglik(alpha, x).hex() for alpha, x in cases])
+        assert got == expected
+        assert [var.name for var in fresh] == []
+
 
 class TestWalkOracle:
     """The log-gamma reference returns the float of the 40-digit log walk."""
@@ -147,21 +182,81 @@ class TestWalkOracle:
         assert reference_loglik(alpha, x).hex() == value.hex()
 
 
+#: The points TestReference and TestWalkOracle pin, the extremes among them:
+#: a subnormal or huge alpha_k, a result near the least alpha_k, and totals
+#: past the walk's reach.
+ORACLE_POINTS = [
+    ((1.0, 1.0), (1, 1)),
+    ((3.0, 0.5), (0, 0)),
+    ((0.7, 2.3, 11.0), (4, 0, 9)),
+    ((1e-30, 1.0), (0, 5)),
+    ((1e-300, 1.0), (0, 5)),
+    ((1e300, 2.0), (3, 4)),
+    ((8e307, 8e307), (2, 1)),
+    ((5e-324, 1.0), (3, 2)),
+    ((1e-300, 1e-300, 3.0), (0, 5, 9)),
+    *(
+        (accuracy_defaults(n_values=(n,)).alpha(), accuracy_defaults(n_values=(n,)).counts_at(n))
+        for n in (10**6, 10**9, 2**38)
+    ),
+]
+
+
+class TestMpmathOracle:
+    """The decimal reference returns the float of the mpmath one
+    (``conftest.mpmath_reference``), an independent log-gamma."""
+
+    @pytest.mark.parametrize("cfg", [accuracy_defaults(), runtime_defaults()])
+    def test_default_grids(self, cfg):
+        alpha = cfg.alpha()
+        for n in cfg.n_values:
+            x = cfg.counts_at(n)
+            assert reference_loglik(alpha, x).hex() == mpmath_reference(alpha, x).hex(), n
+
+    def test_seeded_sample(self, rng):
+        for _ in range(1000):
+            k = int(rng.integers(1, 11))
+            alpha = random_alpha(rng, k, lo=1e-3, hi=1e6)
+            x = random_counts(rng, k, n_max=10**6)
+            assert reference_loglik(alpha, x).hex() == mpmath_reference(alpha, x).hex(), (
+                alpha, x
+            )
+
+    @pytest.mark.parametrize("alpha, x", ORACLE_POINTS)
+    def test_pinned_points(self, alpha, x):
+        assert reference_loglik(alpha, x).hex() == mpmath_reference(alpha, x).hex()
+
+    @pytest.mark.parametrize("prec", [45, 120, 350])
+    def test_loggamma_keeps_its_working_digits(self, prec):
+        # what the floats above cannot see: the log-gamma is good to a unit in
+        # the last of its prec digits of max(|loggamma(z)|, 1), so the
+        # reference works at the precision it sizes
+        import mpmath
+
+        ctx = bench._context(prec)
+        for z in ("5e-324", "1e-30", "0.25", "1", "1.5", "2", "2.75", "9.5", "1234.5", "1e12", "1e300"):
+            value = bench._loggamma(ctx.create_decimal(z), ctx)
+            with mpmath.workdps(prec + 20):
+                exact = mpmath.loggamma(mpmath.mpf(z))
+                unit = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(max(abs(exact), 1))) + 1 - prec)
+                assert abs(mpmath.mpf(str(value)) - exact) <= unit, z
+
+
 class TestParameterMemo:
     """Each parameter's log-gamma (every a_k, and A) is evaluated once per
     value and precision, however many points share it."""
 
     @pytest.fixture
     def loggamma_precs(self, monkeypatch):
-        """The precision of every ``mpf_loggamma`` call, from an empty memo."""
+        """The precision of every ``bench._loggamma`` call, from an empty memo."""
         precs = []
-        real = bench.mpmath.libmp.mpf_loggamma
+        real = bench._loggamma
 
-        def counted(a, prec, rnd):
-            precs.append(prec)
-            return real(a, prec, rnd)
+        def counted(z, ctx):
+            precs.append(ctx.prec)
+            return real(z, ctx)
 
-        monkeypatch.setattr(bench.mpmath.libmp, "mpf_loggamma", counted)
+        monkeypatch.setattr(bench, "_loggamma", counted)
         bench._parameter_loggamma.cache_clear()
         yield precs
         bench._parameter_loggamma.cache_clear()
@@ -408,6 +503,28 @@ class TestSerialization:
             BenchRecord(1, Method.EXACT, -1.0, 0.0, 10, 4)
         with pytest.raises(DomainError):
             BenchRecord(1, Method.EXACT, 0.0, 0.0, 0, 4)
+
+    def test_numpy_sizes_are_kept_as_plain_ints(self):
+        record = BenchRecord(np.int64(1), Method.EXACT, 1e-15, 2e-16, np.int64(5), np.int64(8))
+        assert [type(v) for v in (record.n_scale, record.wall_time_ns, record.terms)] == [int] * 3
+        assert json.loads(records_to_json([record]))["records"][0]["terms"] == 8
+        assert records_to_csv([record]).splitlines()[1] == "1,exact,1e-15,2e-16,5,8"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((1.5, Method.EXACT, 0.0, 0.0, 5, 8), "n_scale must be an integer, got 1.5"),
+            ((1, Method.EXACT, 0.0, 0.0, 5, 8.0), "terms must be an integer, got 8.0"),
+            ((1, Method.EXACT, 0.0, 0.0, 5.0, 8), "wall_time_ns must be an integer, got 5.0"),
+            ((-1, Method.EXACT, 0.0, 0.0, 5, 8), "n_scale must be >= 0, got -1"),
+            ((1, "exact", 0.0, 0.0, 5, 8), "method must be a Method, got 'exact'"),
+            ((1, None, 0.0, 0.0, 5, 8), "method must be a Method, got None"),
+        ],
+    )
+    def test_a_field_of_the_wrong_kind_is_a_domain_error(self, fields, message):
+        with pytest.raises(DomainError) as info:
+            BenchRecord(*fields)
+        assert str(info.value) == message
 
     def test_csv_layout(self):
         records = [

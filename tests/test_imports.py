@@ -24,6 +24,24 @@ def test_cli_import_loads_neither_bench_nor_mpmath():
     assert out.strip() == "[]"
 
 
+def test_bench_import_loads_no_mpmath():
+    # the reference is computed in the standard library's decimal
+    out = run_fresh("import sys, dmnll.bench\nprint('mpmath' in sys.modules)")
+    assert out.strip() == "False"
+
+
+def test_bench_runs_where_mpmath_cannot_be_imported():
+    out = run_fresh(
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from dmnll.cli import main\n"
+        "code = main(['bench', 'accuracy', '--n', '1,2'])\n"
+        "print(code)\n"
+    )
+    assert out.splitlines()[-1] == "0"
+    assert out.splitlines()[0] == "n,method,abs_error,rel_error,wall_time_ns,terms"
+
+
 def test_bench_import_loads_no_statistics():
     # statistics would load fractions and decimal for one median
     out = run_fresh("import sys, dmnll.bench\nprint('statistics' in sys.modules)")
