@@ -18,11 +18,15 @@ checked rather than assumed.  The reference evaluates the log-gamma
 closed form in the standard library's :mod:`decimal`, at an explicit
 precision of 40 significant digits plus the digits its log-gamma
 differences cancel: O(K) like the baseline, and independent of the
-sum-of-logs walk.  Its log-gamma shifts small arguments up by the
-recurrence and sums Stirling's series.  It reads and sets no decimal
-context but its own, so it is safe to call from any number of threads,
-and it evaluates the log-gamma of each parameter once per precision,
-however many grid points share it.
+sum-of-logs walk.  A rise ``loggamma(a + n) - loggamma(a)`` by a count n
+up to the shift bound, about 0.6 times the working digits, is the ``ln``
+of the rising product a (a + 1) ... (a + n - 1); only a larger count
+takes two log-gammas, which shift small arguments up by the recurrence
+and sum Stirling's series.  The tables of ``ln`` are built once per
+precision, and those of the series only where a log-gamma first sums it.
+It reads and sets no decimal context but its own, so it is safe to call
+from any number of threads, and it evaluates the log-gamma of each
+parameter once per precision, however many grid points share it.
 
 Records serialize to CSV (header ``n,method,abs_error,rel_error,
 wall_time_ns,terms``) and to a versioned JSON document.  Everything except
@@ -39,7 +43,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     SCHEMA_VERSION,
@@ -111,9 +115,11 @@ def reference_loglik(alpha: AlphaLike, x: CountsLike) -> float:
     x = (0, 5) it is about -2.28e-300) keeps its digits in A and in the
     differences.  Each a_k is rounded once to that precision, and the
     parameter total A is their exact sum rounded once, so at K = 1 A is
-    a_k and the result is exactly 0.0.  The result is rounded to a Python
-    float once at the end.  Serves as ground truth when measuring evaluator
-    error.
+    a_k and the result is exactly 0.0.  Each difference is a rise
+    (:func:`_loggamma_rise`): the ``ln`` of a rising product for a count up
+    to about 0.6 times the working digits, else two log-gammas, so a call
+    costs O(K) at any N.  The result is rounded to a Python float once at
+    the end.  Serves as ground truth when measuring evaluator error.
 
     The arithmetic is the standard library's :mod:`decimal`, every
     operation a method of a context this call makes, so no thread's or
@@ -169,8 +175,21 @@ def _rounded_sum(values, ctx: decimal.Context) -> decimal.Decimal:
 
 
 def _loggamma_rise(a: decimal.Decimal, n: int, ctx: decimal.Context) -> decimal.Decimal:
-    """``loggamma(a + n) - loggamma(a)`` for ``a`` > 0, each step rounded to
-    nearest at ``ctx``'s precision; ``loggamma(a)`` comes from the memo."""
+    """``loggamma(a + n) - loggamma(a)`` for ``a`` > 0 and n >= 1, rounded to
+    nearest at ``ctx``'s precision.
+
+    Up to the shift bound of the working precision (:func:`_shift_bound`)
+    it is ``ln(a (a + 1) ... (a + n - 1))``, the product and its ``ln``
+    formed at the guard digits of :func:`_loggamma`: at most a bound's worth
+    of multiplications, and no log-gamma.  Above the bound it is the
+    difference of two log-gammas, each rounded at ``ctx``'s precision, and
+    ``loggamma(a)`` comes from the memo.
+    """
+    prec = ctx.prec + _GUARD_DIGITS
+    if n <= _shift_bound(prec):
+        work = ctx.copy()
+        work.prec = prec
+        return ctx.plus(_ln(_rising_product(a, n, work), work, _ln_tables(prec)))
     top = _loggamma(ctx.add(a, n), ctx)
     return ctx.subtract(top, _parameter_loggamma(ctx.to_sci_string(a), ctx.prec))
 
@@ -190,8 +209,9 @@ def _parameter_loggamma(a: str, prec: int) -> decimal.Decimal:
     return _loggamma(ctx.create_decimal(a), ctx)
 
 
-#: Digits that :func:`_loggamma` works at beyond its context's: its ``ln``
-#: loses up to 12 (:func:`_ln`), and the shift's product about 3 more.
+#: Digits that :func:`_loggamma` and :func:`_loggamma_rise` work at beyond
+#: their context's: ``ln`` loses up to 12 (:func:`_ln`), and a rising
+#: product about 3 more.
 _GUARD_DIGITS = 20
 
 #: ``ln`` reduces its argument by a power of e^h, h = 2^-_LN_STEP_BITS.
@@ -200,44 +220,71 @@ _LN_STEP_BITS = 32
 _HALF = _context(1).create_decimal("0.5")
 
 
+def _shift_bound(prec: int) -> int:
+    """The least argument Stirling's series is summed at, at ``prec`` digits:
+    about 0.6 ``prec``, where the shift's multiplications and the series'
+    terms cost about the least together."""
+    return max(8, (3 * prec) // 5)
+
+
 def _loggamma(z: decimal.Decimal, ctx: decimal.Context) -> decimal.Decimal:
     """``loggamma(z)`` of a Decimal z > 0, rounded to ``ctx``'s precision,
     to within about a unit in the last digit of the larger of
     ``|loggamma(z)|`` and 1.
 
-    Below the bound of :func:`_stirling_tables`, z is shifted up by the
-    recurrence, ``loggamma(z) = loggamma(z + m) - ln(z (z + 1) ... (z + m - 1))``,
-    with one ``ln`` of the running product; at or above it, Stirling's
-    series converges to the working precision (:func:`_stirling`).
+    Below the shift bound (:func:`_shift_bound`), z is shifted up by the
+    recurrence,
+    ``loggamma(z) = loggamma(z + m) - ln(z (z + 1) ... (z + m - 1))``,
+    with one ``ln`` of the product (:func:`_rising_product`); at or above
+    it, Stirling's series converges to the working precision
+    (:func:`_stirling`).
     """
     work = ctx.copy()
     work.prec += _GUARD_DIGITS
-    tables = _stirling_tables(work.prec)
-    bound = tables.bound
+    bound = _shift_bound(work.prec)
+    ln_tables, series_tables = _ln_tables(work.prec), _series_tables(work.prec)
     if not work.compare(z, bound).is_signed():
-        return ctx.plus(_stirling(z, work, tables))
-    # z + m > bound however float rounds z, and m is even: the factors are
-    # multiplied in pairs, and (z + j)(z + j + 1) grows by 4(z + j) + 6 from
-    # one pair to the next
+        return ctx.plus(_stirling(z, work, series_tables, ln_tables))
+    # z + m > bound however float rounds z
     m = bound + 2 - int(float(work.to_sci_string(z)))
-    m += m & 1
-    product = pair = work.multiply(z, work.add(z, 1))
-    step = work.add(work.multiply(z, 4), 6)
-    for _ in range(m // 2 - 1):
-        pair = work.add(pair, step)
-        step = work.add(step, 8)
-        product = work.multiply(product, pair)
+    product = _rising_product(z, m, work)
     w = work.add(z, m)
-    return ctx.plus(work.subtract(_stirling(w, work, tables), _ln(product, work, tables)))
+    series = _stirling(w, work, series_tables, ln_tables)
+    return ctx.plus(work.subtract(series, _ln(product, work, ln_tables)))
 
 
-def _stirling(w: decimal.Decimal, ctx: decimal.Context, tables: _Tables) -> decimal.Decimal:
+def _rising_product(z: decimal.Decimal, m: int, ctx: decimal.Context) -> decimal.Decimal:
+    """``z (z + 1) ... (z + m - 1)`` for m >= 1, each step rounded at
+    ``ctx``'s precision.
+
+    The factors are multiplied in pairs, and (z + j)(z + j + 1) grows by
+    4(z + j) + 6 from one pair to the next; an odd m takes its last factor
+    alone.
+    """
+    if m == 1:
+        return z
+    product = pair = ctx.multiply(z, ctx.add(z, 1))
+    step = ctx.add(ctx.multiply(z, 4), 6)
+    for _ in range(m // 2 - 1):
+        pair = ctx.add(pair, step)
+        step = ctx.add(step, 8)
+        product = ctx.multiply(product, pair)
+    if m & 1:
+        product = ctx.multiply(product, ctx.add(z, m - 1))
+    return product
+
+
+def _stirling(
+    w: decimal.Decimal, ctx: decimal.Context, series_tables, ln_tables
+) -> decimal.Decimal:
     """Stirling's series for ``loggamma(w)``, w at least the shift bound:
     ``(w - 1/2) ln w - w + ln(2 pi)/2`` plus ``c_k / w^(2k - 1)`` for as many k
-    as the terms stay above the last digit of the result."""
+    as the terms stay above the last digit of the result.  The tables are
+    :func:`_series_tables` and :func:`_ln_tables` at ``ctx``'s precision."""
+    coefficients, sizes, half_ln_2pi = series_tables
     value = ctx.add(
-        ctx.subtract(ctx.multiply(ctx.subtract(w, _HALF), _ln(w, ctx, tables)), w),
-        tables.half_ln_2pi,
+        ctx.subtract(ctx.multiply(ctx.subtract(w, _HALF), _ln(w, ctx, ln_tables)), w),
+        half_ln_2pi,
     )
     # a term below this power of ten is past the result's last digit, and
     # one above it needs as many digits as it is above; a w past the float
@@ -245,7 +292,7 @@ def _stirling(w: decimal.Decimal, ctx: decimal.Context, tables: _Tables) -> deci
     floor = value.adjusted() - ctx.prec
     log10_w = math.log10(float(ctx.to_sci_string(w)))
     digits = []
-    for k, size in enumerate(tables.sizes, 1):
+    for k, size in enumerate(sizes, 1):
         above = size - (2 * k - 1) * log10_w - floor
         if above < 0:
             break
@@ -255,7 +302,6 @@ def _stirling(w: decimal.Decimal, ctx: decimal.Context, tables: _Tables) -> deci
     # Horner's rule from the least term, each step at the digits it needs
     horner = ctx.copy()
     inverse_square = ctx.divide(1, ctx.multiply(w, w))
-    coefficients = tables.coefficients
     acc = coefficients[len(digits) - 1]
     for k in range(len(digits) - 1, 0, -1):
         horner.prec = digits[k - 1]
@@ -263,8 +309,9 @@ def _stirling(w: decimal.Decimal, ctx: decimal.Context, tables: _Tables) -> deci
     return ctx.add(value, ctx.divide(acc, w))
 
 
-def _ln(x: decimal.Decimal, ctx: decimal.Context, tables: _Tables) -> decimal.Decimal:
-    """``ln x`` of a Decimal x > 0 at ``ctx``'s precision, less up to 12 digits.
+def _ln(x: decimal.Decimal, ctx: decimal.Context, ln_tables) -> decimal.Decimal:
+    """``ln x`` of a Decimal x > 0 at ``ctx``'s precision, less up to 12 digits;
+    ``ln_tables`` is :func:`_ln_tables` at that precision.
 
     With x = m 10^e and m in [1, 10), ``ln x = e ln 10 + j h + ln r``, where
     ``j h`` (h = 2^-32) is the float ``ln m`` rounded to a multiple of h
@@ -275,11 +322,12 @@ def _ln(x: decimal.Decimal, ctx: decimal.Context, tables: _Tables) -> decimal.De
     ``ln r = 2 atanh((r - 1)/(r + 1))`` converges in prec / 19 terms, where
     ``ctx.ln`` is about eight times as slow at 350 digits.
     """
+    exp_digits, ln10 = ln_tables
     e = x.adjusted()
     m = ctx.scaleb(x, -e)
     j = round(math.log(float(ctx.to_sci_string(m))) * 2**_LN_STEP_BITS)
     divisor, rest = None, j
-    for powers in tables.exp_digits:
+    for powers in exp_digits:
         if rest & 15:
             power = powers[rest & 15]
             divisor = power if divisor is None else ctx.multiply(divisor, power)
@@ -288,7 +336,7 @@ def _ln(x: decimal.Decimal, ctx: decimal.Context, tables: _Tables) -> decimal.De
             break
     r = m if divisor is None else ctx.divide(m, divisor)
     u = ctx.divide(ctx.subtract(r, 1), ctx.add(r, 1))
-    total = ctx.add(ctx.multiply(e, tables.ln10), ctx.divide(j, 2**_LN_STEP_BITS))
+    total = ctx.add(ctx.multiply(e, ln10), ctx.divide(j, 2**_LN_STEP_BITS))
     if u.is_zero():
         return total
     u_square = ctx.multiply(u, u)
@@ -304,35 +352,55 @@ def _ln(x: decimal.Decimal, ctx: decimal.Context, tables: _Tables) -> decimal.De
     return ctx.add(total, ctx.multiply(atanh, 2))
 
 
-class _Tables(NamedTuple):
-    """What :func:`_stirling` and :func:`_ln` need at one precision."""
+@functools.lru_cache(maxsize=64)
+def _ln_tables(prec: int) -> tuple:
+    """What :func:`_ln` needs at ``prec`` digits, ``(exp_digits, ln10)``.
 
-    bound: int
-    coefficients: tuple[decimal.Decimal, ...]
-    sizes: tuple[int, ...]
-    half_ln_2pi: decimal.Decimal
-    exp_digits: tuple[tuple[decimal.Decimal, ...], ...]
-    ln10: decimal.Decimal
+    * ``exp_digits``: for each hexadecimal place i of a 36-bit j, the powers
+      ``e^(d 16^i h)``, d < 16, h = 2^-32: e^h from its Taylor series, and
+      each ``e^(16^i h)`` the 16th power of the one before.
+    * ``ln10``: ``ln 10``, from ``ln 2`` and ``ln 5``, which need no ln 10.
+
+    Every evaluation at ``prec`` needs them, the series or not.
+    """
+    ctx = _context(prec)
+    h = ctx.divide(1, 2**_LN_STEP_BITS)
+    term, base, k = h, ctx.add(1, h), 1
+    while term.adjusted() >= -prec:
+        k += 1
+        term = ctx.divide(ctx.multiply(term, h), k)
+        base = ctx.add(base, term)
+    exp_digits = []
+    for _ in range(9):
+        powers = [None, base]
+        for _ in range(14):
+            powers.append(ctx.multiply(powers[-1], base))
+        exp_digits.append(tuple(powers))
+        base = ctx.multiply(powers[15], base)
+    exp_digits = tuple(exp_digits)
+    no_ln10 = (exp_digits, ctx.create_decimal(0))
+    ln2, ln5 = (_ln(ctx.create_decimal(v), ctx, no_ln10) for v in (2, 5))
+    return exp_digits, ctx.add(ln2, ln5)
 
 
 @functools.lru_cache(maxsize=64)
-def _stirling_tables(prec: int) -> _Tables:
-    """:class:`_Tables` at ``prec`` digits.
+def _series_tables(prec: int) -> tuple:
+    """What :func:`_stirling` needs at ``prec`` digits, beside
+    :func:`_ln_tables`: ``(coefficients, sizes, half_ln_2pi)``.
 
-    * ``bound``: the shift bound, about 0.6 ``prec``, where the shift's
-      multiplications and the series' terms cost about the least together.
     * ``coefficients``: ``c_k = B_2k / (2k (2k - 1))``, as many as the
-      series needs at the bound, from integer tangent numbers:
+      series needs at the shift bound, from integer tangent numbers:
       ``c_k = (-1)^(k-1) T_k / ((2k - 1) 4^k (4^k - 1))``; ``sizes``: the
       adjusted exponent of each, plus one, bounding its log10.
-    * ``exp_digits``: for each hexadecimal place i of a 36-bit j, the powers
-      ``e^(d 16^i h)``, d < 16, h = 2^-32: e^h from its Taylor series, and
-      each ``e^(16^i h)`` the 16th power of the one before; ``ln10``.
     * ``half_ln_2pi``: ``ln(2 pi)/2``, from Stirling's series at the bound,
       whose ``loggamma`` is ``ln((bound - 1)!)``.
+
+    Built when a log-gamma first sums the series at ``prec``, and not
+    before: a rise of a count up to the bound needs none of it, and the
+    tangent numbers alone take milliseconds at a few hundred digits.
     """
     ctx = _context(prec)
-    bound = max(8, (3 * prec) // 5)
+    bound = _shift_bound(prec)
     # |c_k| is about 2 (2k - 2)! / (2 pi)^(2k)
     n, log10_bound = 1, math.log10(bound)
     while (
@@ -347,27 +415,11 @@ def _stirling_tables(prec: int) -> _Tables:
         for k in range(1, n + 1)
     )
     sizes = tuple(c.adjusted() + 1 for c in coefficients)
-    h = ctx.divide(1, 2**_LN_STEP_BITS)
-    term, base, k = h, ctx.add(1, h), 1
-    while term.adjusted() >= -prec:
-        k += 1
-        term = ctx.divide(ctx.multiply(term, h), k)
-        base = ctx.add(base, term)
-    exp_digits = []
-    for _ in range(9):
-        powers = [None, base]
-        for _ in range(14):
-            powers.append(ctx.multiply(powers[-1], base))
-        exp_digits.append(tuple(powers))
-        base = ctx.multiply(powers[15], base)
-    zero = ctx.create_decimal(0)
-    tables = _Tables(bound, coefficients, sizes, zero, tuple(exp_digits), zero)
-    # ln 10 from ln 2 and ln 5, which need no ln 10
-    ln2, ln5 = (_ln(ctx.create_decimal(v), ctx, tables) for v in (2, 5))
-    tables = tables._replace(ln10=ctx.add(ln2, ln5))
-    log_factorial = _ln(ctx.create_decimal(math.factorial(bound - 1)), ctx, tables)
-    stirling = _stirling(ctx.create_decimal(bound), ctx, tables)
-    return tables._replace(half_ln_2pi=ctx.subtract(log_factorial, stirling))
+    ln_tables = _ln_tables(prec)
+    log_factorial = _ln(ctx.create_decimal(math.factorial(bound - 1)), ctx, ln_tables)
+    no_constant = (coefficients, sizes, ctx.create_decimal(0))
+    stirling = _stirling(ctx.create_decimal(bound), ctx, no_constant, ln_tables)
+    return coefficients, sizes, ctx.subtract(log_factorial, stirling)
 
 
 #: T_1, T_2, ... as far as a precision has needed them so far.  Every value

@@ -75,15 +75,16 @@ def walk_reference(alpha, x) -> float:
 
 def phi_reference(p, phi, x) -> float:
     """The phi route's value, sum over j < x_k of log(p_k (1-phi) + j phi)
-    less sum over i < N of log((1-phi) + i phi), from log-gamma values in
-    mpmath: the oracle of ``dmn_loglik_phi``.  It calls no walk of
+    less sum over i < N of log((1-phi) + i phi), from log-gamma differences
+    in mpmath: the oracle of ``dmn_loglik_phi``.  It calls no walk of
     ``dmnll.core``.
 
     At phi > 0 every term is log phi plus log(a_k + j), with
     a_k = p_k (1-phi)/phi and A = (1-phi)/phi formed in mpmath from the
     given floats; the N log phi terms cancel, which leaves
     sum over x_k > 0 of [loggamma(a_k + x_k) - loggamma(a_k)] less
-    [loggamma(A + N) - loggamma(A)].  The precision adds to
+    [loggamma(A + N) - loggamma(A)], each difference a rise
+    (:func:`_mpmath_rise`).  The precision adds to
     ``REFERENCE_DPS`` the digits of A + N, whose log-gamma values cancel,
     taken from -log10 phi since A overflows a float at phi = 5e-324; and
     the decimal digits the positive p_k span, so that a_k + x_k keeps the
@@ -104,11 +105,18 @@ def phi_reference(p, phi, x) -> float:
             return float(mpmath.fsum(x_k * mpmath.log(p_k) for p_k, x_k in observed))
         phi = mpmath.mpf(phi)
         scale = (1 - phi) / phi
-        num = mpmath.fsum(
-            mpmath.loggamma(a_k + x_k) - mpmath.loggamma(a_k)
-            for a_k, x_k in ((mpmath.mpf(p_k) * scale, x_k) for p_k, x_k in observed)
-        )
-        return float(num - (mpmath.loggamma(scale + n) - mpmath.loggamma(scale)))
+        num = mpmath.fsum(_mpmath_rise(mpmath.mpf(p_k) * scale, x_k) for p_k, x_k in observed)
+        return float(num - _mpmath_rise(scale, n))
+
+
+def _mpmath_rise(a, n: int):
+    """``loggamma(a + n) - loggamma(a)`` at mpmath's working precision: for
+    a count up to 100 the log of the rising product a (a + 1) ... (a + n - 1),
+    since mpmath's ``loggamma`` next to its zeros at 1 and 2 costs up to
+    seconds at a few hundred digits."""
+    if n <= 100:
+        return mpmath.log(mpmath.fprod(a + j for j in range(n)))
+    return mpmath.loggamma(a + n) - mpmath.loggamma(a)
 
 
 def mpmath_reference(alpha, x) -> float:

@@ -56,10 +56,11 @@ class TestReference:
         with pytest.raises(ResourceLimitError) as per_row:
             dmn_loglik_exact((1.0,), huge)
 
-        def no_loggamma(z, ctx):
-            raise AssertionError("reference_loglik reached its log-gamma")
+        def no_arithmetic(*args):
+            raise AssertionError("reference_loglik reached its arithmetic")
 
-        monkeypatch.setattr(bench, "_loggamma", no_loggamma)
+        monkeypatch.setattr(bench, "_loggamma", no_arithmetic)
+        monkeypatch.setattr(bench, "_ln", no_arithmetic)
         with pytest.raises(DimensionMismatchError):
             reference_loglik((1.0, 2.0), (1, 2, 3))
         with pytest.raises(ResourceLimitError) as reference:
@@ -113,22 +114,25 @@ class TestReference:
         # c_k = B_2k / (2k (2k - 1)) from the tangent numbers 1, 2, 16, 272, ...
         assert bench._tangent_numbers(7) == (1, 2, 16, 272, 7936, 353792, 22368256)
         assert bench._tangent_numbers(3) == (1, 2, 16)
-        tables = bench._stirling_tables(60)
+        coefficients, _, _ = bench._series_tables(60)
         ctx = bench._context(60)
         bernoulli = [(1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730)]
         expected = [
             ctx.divide(num, den * 2 * k * (2 * k - 1))
             for k, (num, den) in enumerate(bernoulli, 1)
         ]
-        assert tables.coefficients[:6] == tuple(expected)
+        assert coefficients[:6] == tuple(expected)
 
     def test_reads_and_sets_no_decimal_context(self, monkeypatch):
         # a default context that rounds to 3 digits, overflows past 10^10 and
         # traps every rounding is never copied, and no thread's context made
         cases = [((0.7, 2.3, 11.0), (4, 0, 9)), ((1e-300, 1.0), (0, 5)), ((8e307, 8e307), (2, 1))]
+        # counts past the shift bound, so that the log-gamma runs too
+        cases.append(((0.7, 2.3, 11.0), (400, 0, 900)))
         expected = [reference_loglik(alpha, x).hex() for alpha, x in cases]
         bench._parameter_loggamma.cache_clear()
-        bench._stirling_tables.cache_clear()
+        bench._ln_tables.cache_clear()
+        bench._series_tables.cache_clear()
         monkeypatch.setattr(decimal.DefaultContext, "prec", 3)
         monkeypatch.setattr(decimal.DefaultContext, "rounding", decimal.ROUND_DOWN)
         monkeypatch.setattr(decimal.DefaultContext, "Emax", 10)
@@ -137,6 +141,84 @@ class TestReference:
         got = fresh.run(lambda: [reference_loglik(alpha, x).hex() for alpha, x in cases])
         assert got == expected
         assert [var.name for var in fresh] == []
+
+    def test_loggamma_rounds_to_nearest_whatever_the_default_rounding(self, monkeypatch):
+        # the last of the working digits, which the guard digits hide from
+        # every float: a context that took the default's rounding, in the
+        # log-gamma or in its tables, would round some of them another way
+        zs = ("1e-30", "0.25", "1.5", "2.75", "9.5", "1234.5", "1e12")
+
+        def last_digits():
+            bench._ln_tables.cache_clear()
+            bench._series_tables.cache_clear()
+            ctx = bench._context(45)
+            return [ctx.to_sci_string(bench._loggamma(ctx.create_decimal(z), ctx)) for z in zs]
+
+        expected = last_digits()
+        for rounding in (decimal.ROUND_DOWN, decimal.ROUND_UP, decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+            monkeypatch.setattr(decimal.DefaultContext, "rounding", rounding)
+            assert last_digits() == expected, rounding
+
+    def test_the_parameter_total_is_rounded_once(self, monkeypatch):
+        # at the working precision, 5.5 + 4.6 rounded and then + 0.3 rounded
+        # is one unit in the last digit below the exact sum rounded once
+        alpha = (5.5, 4.6, 0.3)
+        rises = []
+        real = bench._loggamma_rise
+
+        def recorded(a, n, ctx):
+            rises.append((a, n, ctx.prec))
+            return real(a, n, ctx)
+
+        monkeypatch.setattr(bench, "_loggamma_rise", recorded)
+        reference_loglik(alpha, (1, 2, 3))
+        a_sum, n, prec = rises[-1]
+        assert n == 6
+        ctx = bench._context(prec)
+        a = [ctx.create_decimal_from_float(a_k) for a_k in alpha]
+        exact = decimal.Context(prec=3 * prec, rounding=decimal.ROUND_HALF_EVEN)
+        once = ctx.plus(exact.add(exact.add(a[0], a[1]), a[2]))
+        per_addition = ctx.add(ctx.add(a[0], a[1]), a[2])
+        assert ctx.to_sci_string(once) != ctx.to_sci_string(per_addition)
+        assert ctx.to_sci_string(a_sum) == ctx.to_sci_string(once)
+
+
+class TestRisingProduct:
+    """A rise of a count up to the shift bound is the ``ln`` of the rising
+    product: no log-gamma, and no table of Stirling's series."""
+
+    def test_a_small_rise_takes_no_log_gamma_and_no_series(self, monkeypatch):
+        cases = [((1e-300, 1.0), (0, 5)), ((5e-324, 1.0), (3, 2)), ((1e300, 2.0), (3, 4))]
+        expected = [reference_loglik(alpha, x).hex() for alpha, x in cases]
+
+        def no_log_gamma(*args):
+            raise AssertionError("a small rise reached a log-gamma")
+
+        monkeypatch.setattr(bench, "_loggamma", no_log_gamma)
+        monkeypatch.setattr(bench, "_parameter_loggamma", no_log_gamma)
+        bench._series_tables.cache_clear()
+        assert [reference_loglik(alpha, x).hex() for alpha, x in cases] == expected
+        ctx = bench._context(60)
+        bound = bench._shift_bound(60 + bench._GUARD_DIGITS)
+        bench._loggamma_rise(ctx.create_decimal("0.7"), bound, ctx)
+        assert bench._series_tables.cache_info().currsize == 0
+        with pytest.raises(AssertionError, match="log-gamma"):
+            bench._loggamma_rise(ctx.create_decimal("0.7"), bound + 1, ctx)
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-300, 0.7, 1.0, 19.9, 1e300])
+    def test_agrees_with_the_log_gamma_difference(self, a):
+        # to a unit or two in the last working digit of the larger log-gamma,
+        # on both sides of the bound; 45 digits past that log-gamma's integer part
+        prec = 45 + math.ceil(math.log10(max(1.0, abs(math.lgamma(a)))))
+        ctx = bench._context(prec)
+        bound = bench._shift_bound(prec + bench._GUARD_DIGITS)
+        a = ctx.create_decimal_from_float(a)
+        low = bench._loggamma(a, ctx)
+        for n in (1, 2, bound - 1, bound, bound + 1):
+            top = bench._loggamma(ctx.add(a, n), ctx)
+            rise = bench._loggamma_rise(a, n, ctx)
+            units = ctx.scaleb(2, max(low.adjusted(), top.adjusted(), 0) + 1 - prec)
+            assert ctx.copy_abs(ctx.subtract(rise, ctx.subtract(top, low))) <= units, n
 
 
 class TestWalkOracle:
@@ -244,7 +326,8 @@ class TestMpmathOracle:
 
 class TestParameterMemo:
     """Each parameter's log-gamma (every a_k, and A) is evaluated once per
-    value and precision, however many points share it."""
+    value and precision, however many points share it.  The counts are past
+    the shift bound, where a rise is a difference of log-gammas."""
 
     @pytest.fixture
     def loggamma_precs(self, monkeypatch):
@@ -263,7 +346,7 @@ class TestParameterMemo:
 
     def test_a_sweep_evaluates_each_parameter_once(self, loggamma_precs):
         # five points, every x_k > 0, all at one working precision
-        cfg = accuracy_defaults(n_values=(1, 2, 3, 4, 5))
+        cfg = accuracy_defaults(n_values=(100, 101, 102, 103, 104))
         run_accuracy_experiment(cfg)
         k, points = len(cfg.p), len(cfg.n_values)
         assert len(set(loggamma_precs)) == 1
@@ -271,7 +354,7 @@ class TestParameterMemo:
         assert len(loggamma_precs) == (k + 1) + points * (k + 1)
 
     def test_a_warm_call_returns_the_cold_value(self, loggamma_precs):
-        alpha, x = (0.7, 2.3, 11.0), (4, 0, 9)
+        alpha, x = (0.7, 2.3, 11.0), (400, 0, 900)
         cold = reference_loglik(alpha, x)
         assert len(loggamma_precs) == 2 * 3
         warm = reference_loglik(alpha, x)
@@ -279,7 +362,7 @@ class TestParameterMemo:
         assert warm.hex() == cold.hex()
 
     def test_a_higher_precision_is_evaluated_anew(self, monkeypatch, loggamma_precs):
-        alpha, x = (1e300, 2.0), (3, 4)
+        alpha, x = (1e300, 2.0), (1000, 2000)
         reference_loglik(alpha, x)
         low = loggamma_precs[0]
         monkeypatch.setattr(bench, "REFERENCE_DPS", bench.REFERENCE_DPS + 20)
