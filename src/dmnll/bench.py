@@ -20,10 +20,12 @@ precision of 40 significant digits plus the digits its log-gamma
 differences cancel: O(K) like the baseline, and independent of the
 sum-of-logs walk.  A rise ``loggamma(a + n) - loggamma(a)`` by a count n
 up to the shift bound, about 0.6 times the working digits, is the ``ln``
-of the rising product a (a + 1) ... (a + n - 1); only a larger count
-takes two log-gammas, which shift small arguments up by the recurrence
-and sum Stirling's series.  The tables of ``ln`` are built once per
-precision, and those of the series only where a log-gamma first sums it.
+of the rising product a (a + 1) ... (a + n - 1), one multiplication per
+factor; only a larger count takes two log-gammas, which shift small
+arguments up by the recurrence and sum Stirling's series by Horner's rule
+at one precision.  The tables of ``ln`` are built once per precision, and
+those of the series, tangent numbers included, only where a log-gamma
+first sums it at that precision.
 It reads and sets no decimal context but its own, so it is safe to call
 from any number of threads, and it evaluates the log-gamma of each
 parameter once per precision, however many grid points share it.
@@ -210,8 +212,9 @@ def _parameter_loggamma(a: str, prec: int) -> decimal.Decimal:
 
 
 #: Digits that :func:`_loggamma` and :func:`_loggamma_rise` work at beyond
-#: their context's: ``ln`` loses up to 12 (:func:`_ln`), and a rising
-#: product about 3 more.
+#: their context's: ``ln`` loses up to 12 (:func:`_ln`), a rising product,
+#: one rounding per factor and per multiplication, about 3 more, and
+#: Stirling's series, summed at the working precision, a unit or so.
 _GUARD_DIGITS = 20
 
 #: ``ln`` reduces its argument by a power of e^h, h = 2^-_LN_STEP_BITS.
@@ -254,58 +257,29 @@ def _loggamma(z: decimal.Decimal, ctx: decimal.Context) -> decimal.Decimal:
 
 
 def _rising_product(z: decimal.Decimal, m: int, ctx: decimal.Context) -> decimal.Decimal:
-    """``z (z + 1) ... (z + m - 1)`` for m >= 1, each step rounded at
-    ``ctx``'s precision.
-
-    The factors are multiplied in pairs, and (z + j)(z + j + 1) grows by
-    4(z + j) + 6 from one pair to the next; an odd m takes its last factor
-    alone.
-    """
-    if m == 1:
-        return z
-    product = pair = ctx.multiply(z, ctx.add(z, 1))
-    step = ctx.add(ctx.multiply(z, 4), 6)
-    for _ in range(m // 2 - 1):
-        pair = ctx.add(pair, step)
-        step = ctx.add(step, 8)
-        product = ctx.multiply(product, pair)
-    if m & 1:
-        product = ctx.multiply(product, ctx.add(z, m - 1))
-    return product
+    """``z (z + 1) ... (z + m - 1)`` for m >= 1: one ``multiply`` per factor,
+    each factor and each step rounded at ``ctx``'s precision."""
+    return functools.reduce(ctx.multiply, (ctx.add(z, j) for j in range(1, m)), z)
 
 
 def _stirling(
     w: decimal.Decimal, ctx: decimal.Context, series_tables, ln_tables
 ) -> decimal.Decimal:
     """Stirling's series for ``loggamma(w)``, w at least the shift bound:
-    ``(w - 1/2) ln w - w + ln(2 pi)/2`` plus ``c_k / w^(2k - 1)`` for as many k
-    as the terms stay above the last digit of the result.  The tables are
-    :func:`_series_tables` and :func:`_ln_tables` at ``ctx``'s precision."""
-    coefficients, sizes, half_ln_2pi = series_tables
+    ``(w - 1/2) ln w - w + ln(2 pi)/2`` plus ``c_k / w^(2k - 1)`` for every
+    c_k of the table, by Horner's rule at ``ctx``'s precision.  At w = bound
+    the table's last term is already below the result's last digit, and a
+    larger w only shrinks the terms.  The tables are :func:`_series_tables`
+    and :func:`_ln_tables` at ``ctx``'s precision."""
+    coefficients, half_ln_2pi = series_tables
     value = ctx.add(
         ctx.subtract(ctx.multiply(ctx.subtract(w, _HALF), _ln(w, ctx, ln_tables)), w),
         half_ln_2pi,
     )
-    # a term below this power of ten is past the result's last digit, and
-    # one above it needs as many digits as it is above; a w past the float
-    # range needs no term
-    floor = value.adjusted() - ctx.prec
-    log10_w = math.log10(float(ctx.to_sci_string(w)))
-    digits = []
-    for k, size in enumerate(sizes, 1):
-        above = size - (2 * k - 1) * log10_w - floor
-        if above < 0:
-            break
-        digits.append(int(above) + 3)
-    if not digits:
-        return value
-    # Horner's rule from the least term, each step at the digits it needs
-    horner = ctx.copy()
     inverse_square = ctx.divide(1, ctx.multiply(w, w))
-    acc = coefficients[len(digits) - 1]
-    for k in range(len(digits) - 1, 0, -1):
-        horner.prec = digits[k - 1]
-        acc = horner.fma(acc, inverse_square, coefficients[k - 1])
+    acc = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        acc = ctx.fma(acc, inverse_square, c)
     return ctx.add(value, ctx.divide(acc, w))
 
 
@@ -316,7 +290,8 @@ def _ln(x: decimal.Decimal, ctx: decimal.Context, ln_tables) -> decimal.Decimal:
     With x = m 10^e and m in [1, 10), ``ln x = e ln 10 + j h + ln r``, where
     ``j h`` (h = 2^-32) is the float ``ln m`` rounded to a multiple of h
     and r = m / e^(j h).  e^(j h) is a product of cached powers, one for
-    each hexadecimal digit d of j, ``e^(d 16^i h)`` for the digit at i;
+    each hexadecimal digit d of j, ``e^(d 16^i h)`` for the digit at i
+    (an exact 1 for d = 0, so every digit takes one multiplication);
     their errors grow with their exponents, to about 10^12 times the last
     digit for e^(2^32 h).  r is within about h of 1, so
     ``ln r = 2 atanh((r - 1)/(r + 1))`` converges in prec / 19 terms, where
@@ -326,15 +301,11 @@ def _ln(x: decimal.Decimal, ctx: decimal.Context, ln_tables) -> decimal.Decimal:
     e = x.adjusted()
     m = ctx.scaleb(x, -e)
     j = round(math.log(float(ctx.to_sci_string(m))) * 2**_LN_STEP_BITS)
-    divisor, rest = None, j
+    divisor, rest = 1, j
     for powers in exp_digits:
-        if rest & 15:
-            power = powers[rest & 15]
-            divisor = power if divisor is None else ctx.multiply(divisor, power)
+        divisor = ctx.multiply(divisor, powers[rest & 15])
         rest >>= 4
-        if not rest:
-            break
-    r = m if divisor is None else ctx.divide(m, divisor)
+    r = ctx.divide(m, divisor)
     u = ctx.divide(ctx.subtract(r, 1), ctx.add(r, 1))
     total = ctx.add(ctx.multiply(e, ln10), ctx.divide(j, 2**_LN_STEP_BITS))
     if u.is_zero():
@@ -357,8 +328,8 @@ def _ln_tables(prec: int) -> tuple:
     """What :func:`_ln` needs at ``prec`` digits, ``(exp_digits, ln10)``.
 
     * ``exp_digits``: for each hexadecimal place i of a 36-bit j, the powers
-      ``e^(d 16^i h)``, d < 16, h = 2^-32: e^h from its Taylor series, and
-      each ``e^(16^i h)`` the 16th power of the one before.
+      ``e^(d 16^i h)``, d < 16, h = 2^-32, an exact 1 at d = 0: e^h from its
+      Taylor series, and each ``e^(16^i h)`` the 16th power of the one before.
     * ``ln10``: ``ln 10``, from ``ln 2`` and ``ln 5``, which need no ln 10.
 
     Every evaluation at ``prec`` needs them, the series or not.
@@ -372,7 +343,7 @@ def _ln_tables(prec: int) -> tuple:
         base = ctx.add(base, term)
     exp_digits = []
     for _ in range(9):
-        powers = [None, base]
+        powers = [1, base]
         for _ in range(14):
             powers.append(ctx.multiply(powers[-1], base))
         exp_digits.append(tuple(powers))
@@ -386,12 +357,12 @@ def _ln_tables(prec: int) -> tuple:
 @functools.lru_cache(maxsize=64)
 def _series_tables(prec: int) -> tuple:
     """What :func:`_stirling` needs at ``prec`` digits, beside
-    :func:`_ln_tables`: ``(coefficients, sizes, half_ln_2pi)``.
+    :func:`_ln_tables`: ``(coefficients, half_ln_2pi)``.
 
     * ``coefficients``: ``c_k = B_2k / (2k (2k - 1))``, as many as the
-      series needs at the shift bound, from integer tangent numbers:
-      ``c_k = (-1)^(k-1) T_k / ((2k - 1) 4^k (4^k - 1))``; ``sizes``: the
-      adjusted exponent of each, plus one, bounding its log10.
+      series needs at the shift bound, from the integer tangent numbers,
+      computed here for this precision:
+      ``c_k = (-1)^(k-1) T_k / ((2k - 1) 4^k (4^k - 1))``.
     * ``half_ln_2pi``: ``ln(2 pi)/2``, from Stirling's series at the bound,
       whose ``loggamma`` is ``ln((bound - 1)!)``.
 
@@ -414,35 +385,23 @@ def _series_tables(prec: int) -> tuple:
         ctx.divide((-1) ** (k - 1) * tangents[k - 1], (2 * k - 1) * 4**k * (4**k - 1))
         for k in range(1, n + 1)
     )
-    sizes = tuple(c.adjusted() + 1 for c in coefficients)
     ln_tables = _ln_tables(prec)
     log_factorial = _ln(ctx.create_decimal(math.factorial(bound - 1)), ctx, ln_tables)
-    no_constant = (coefficients, sizes, ctx.create_decimal(0))
-    stirling = _stirling(ctx.create_decimal(bound), ctx, no_constant, ln_tables)
-    return coefficients, sizes, ctx.subtract(log_factorial, stirling)
-
-
-#: T_1, T_2, ... as far as a precision has needed them so far.  Every value
-#: it takes is a prefix of the same sequence, so a caller cannot tell which
-#: one it read, and two threads that both extend it store equal tuples.
-_tangents: tuple[int, ...] = ()
+    stirling = _stirling(ctx.create_decimal(bound), ctx, (coefficients, 0), ln_tables)
+    return coefficients, ctx.subtract(log_factorial, stirling)
 
 
 def _tangent_numbers(n: int) -> tuple[int, ...]:
     """The tangent numbers T_1 .. T_n (1, 2, 16, 272, ...), the odd
     derivatives of tan at 0, by the in-place recurrence of Brent and
-    Zimmermann (Modern Computer Arithmetic, 4.7.2): O(n^2) integer steps,
-    taken only when no precision has needed as many before."""
-    global _tangents
-    if len(_tangents) < n:
-        t = [0, 1] + [0] * (n - 1)
-        for k in range(2, n + 1):
-            t[k] = (k - 1) * t[k - 1]
-        for k in range(2, n + 1):
-            for j in range(k, n + 1):
-                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-        _tangents = tuple(t[1:])
-    return _tangents[:n]
+    Zimmermann (Modern Computer Arithmetic, 4.7.2): O(n^2) integer steps."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t[1:])
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,15 @@ import itertools
 import math
 import numbers
 import os
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+
+# The checkout's own src, last on the path: a bare checkout finds dmnll there,
+# and a PYTHONPATH or an install that holds another copy of it comes first.
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 import dmnll
 from dmnll import AlphaParams, CountVector, DmnError, DomainError

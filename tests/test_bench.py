@@ -98,15 +98,17 @@ class TestReference:
     )
     def test_tiny_results_keep_their_digits(self, alpha, x, expected):
         # a result about the size of the least alpha_k is as exact as any
-        # other: the float of the closed form at 400 digits
+        # other: the float of the closed form at 400 digits, each rise
+        # loggamma(a + n) - loggamma(a) the log of its rising product, since
+        # mpmath's loggamma next to its zero at 1 takes about a second here
         import mpmath
+
+        def rise(a, n):
+            return mpmath.log(mpmath.fprod(a + j for j in range(n)))
 
         with mpmath.workdps(400):
             a = [mpmath.mpf(v) for v in alpha]
-            big_a = mpmath.fsum(a)
-            closed_form = mpmath.fsum(
-                mpmath.loggamma(ak + xk) - mpmath.loggamma(ak) for ak, xk in zip(a, x)
-            ) - (mpmath.loggamma(big_a + sum(x)) - mpmath.loggamma(big_a))
+            closed_form = mpmath.fsum(map(rise, a, x)) - rise(mpmath.fsum(a), sum(x))
             assert float(closed_form) == expected
         assert reference_loglik(alpha, x) == expected
 
@@ -114,7 +116,7 @@ class TestReference:
         # c_k = B_2k / (2k (2k - 1)) from the tangent numbers 1, 2, 16, 272, ...
         assert bench._tangent_numbers(7) == (1, 2, 16, 272, 7936, 353792, 22368256)
         assert bench._tangent_numbers(3) == (1, 2, 16)
-        coefficients, _, _ = bench._series_tables(60)
+        coefficients, _ = bench._series_tables(60)
         ctx = bench._context(60)
         bernoulli = [(1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730)]
         expected = [
@@ -122,6 +124,29 @@ class TestReference:
             for k, (num, den) in enumerate(bernoulli, 1)
         ]
         assert coefficients[:6] == tuple(expected)
+
+    @pytest.mark.parametrize("prec", [60, 65, 140, 380])
+    def test_the_series_table_ends_below_the_last_digit(self, prec):
+        # Stirling's series is summed over the whole table at one precision:
+        # at w = bound its last term is past the last of prec digits of
+        # loggamma(bound), and a larger w only shrinks the terms
+        import mpmath
+
+        coefficients, _ = bench._series_tables(prec)
+        bound, n = bench._shift_bound(prec), len(coefficients)
+        with mpmath.workdps(prec + 20):
+            last = abs(mpmath.mpf(str(coefficients[-1]))) / mpmath.mpf(bound) ** (2 * n - 1)
+            unit = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(mpmath.loggamma(bound))) + 1 - prec)
+            assert last < unit
+        # and so the log-gamma that works at prec, at the bound and far past it,
+        # is good to a unit in its last digit
+        ctx = bench._context(prec - bench._GUARD_DIGITS)
+        for z in (bound, "1e300"):
+            value = bench._loggamma(ctx.create_decimal(z), ctx)
+            with mpmath.workdps(prec + 20):
+                exact = mpmath.loggamma(mpmath.mpf(z))
+                unit = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(exact)) + 1 - ctx.prec)
+                assert abs(mpmath.mpf(str(value)) - exact) <= unit, z
 
     def test_reads_and_sets_no_decimal_context(self, monkeypatch):
         # a default context that rounds to 3 digits, overflows past 10^10 and

@@ -1,7 +1,10 @@
 """What importing the package and its CLI loads: each command pays only for what it uses."""
 
+import os
 import subprocess
 import sys
+
+import pytest
 
 import dmnll
 from conftest import child_env
@@ -111,3 +114,13 @@ def test_a_child_imports_the_dmnll_under_test(monkeypatch, tmp_path):
     monkeypatch.setenv("PYTHONPATH", str(tmp_path))
     out = run_fresh("import dmnll\nprint(dmnll.__file__)")
     assert out.strip() == dmnll.__file__
+
+
+def test_tests_import_the_dmnll_named_on_pythonpath():
+    # the checkout's src comes after PYTHONPATH, so pointing PYTHONPATH at
+    # another copy of the package tests that copy
+    first = os.environ.get("PYTHONPATH", "").split(os.pathsep)[0]
+    init = os.path.join(first, "dmnll", "__init__.py")
+    if not first or not os.path.isfile(init):
+        pytest.skip("the first PYTHONPATH entry holds no dmnll")
+    assert os.path.samefile(dmnll.__file__, init)
