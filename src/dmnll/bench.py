@@ -23,7 +23,8 @@ up to the shift bound, about 0.6 times the working digits, is the ``ln``
 of the rising product a (a + 1) ... (a + n - 1), one multiplication per
 factor; only a larger count takes two log-gammas, which shift small
 arguments up by the recurrence and sum Stirling's series by Horner's rule
-at one precision.  The tables of ``ln`` are built once per precision, and
+at one precision, over the terms that can reach the last digit at that
+argument.  The tables of ``ln`` are built once per precision, and
 those of the series, tangent numbers included, only where a log-gamma
 first sums it at that precision.
 It reads and sets no decimal context but its own, so it is safe to call
@@ -38,9 +39,11 @@ apart from it.
 
 from __future__ import annotations
 
+import bisect
 import decimal
 import functools
 import gc
+import itertools
 import math
 import numbers
 import time
@@ -266,19 +269,25 @@ def _stirling(
     w: decimal.Decimal, ctx: decimal.Context, series_tables, ln_tables
 ) -> decimal.Decimal:
     """Stirling's series for ``loggamma(w)``, w at least the shift bound:
-    ``(w - 1/2) ln w - w + ln(2 pi)/2`` plus ``c_k / w^(2k - 1)`` for every
-    c_k of the table, by Horner's rule at ``ctx``'s precision.  At w = bound
-    the table's last term is already below the result's last digit, and a
-    larger w only shrinks the terms.  The tables are :func:`_series_tables`
-    and :func:`_ln_tables` at ``ctx``'s precision."""
-    coefficients, half_ln_2pi = series_tables
+    ``(w - 1/2) ln w - w + ln(2 pi)/2`` plus ``c_k / w^(2k - 1)`` for each
+    c_k of the table whose term at this w can reach the last digit, by
+    Horner's rule at ``ctx``'s precision.  At w = bound the table's last
+    term is already below the result's last digit, and a larger w only
+    shrinks the terms, so the cuts of the table drop more of them the
+    larger w is.  The tables are :func:`_series_tables` and
+    :func:`_ln_tables` at ``ctx``'s precision."""
+    coefficients, half_ln_2pi, cuts = series_tables
     value = ctx.add(
         ctx.subtract(ctx.multiply(ctx.subtract(w, _HALF), _ln(w, ctx, ln_tables)), w),
         half_ln_2pi,
     )
+    # the terms past the first `kept` are below half a unit of the last digit
+    kept = len(coefficients) - bisect.bisect_left(cuts, float(ctx.to_sci_string(w)))
+    if not kept:
+        return value
     inverse_square = ctx.divide(1, ctx.multiply(w, w))
-    acc = coefficients[-1]
-    for c in coefficients[-2::-1]:
+    acc = coefficients[kept - 1]
+    for c in reversed(coefficients[: kept - 1]):
         acc = ctx.fma(acc, inverse_square, c)
     return ctx.add(value, ctx.divide(acc, w))
 
@@ -357,14 +366,22 @@ def _ln_tables(prec: int) -> tuple:
 @functools.lru_cache(maxsize=64)
 def _series_tables(prec: int) -> tuple:
     """What :func:`_stirling` needs at ``prec`` digits, beside
-    :func:`_ln_tables`: ``(coefficients, half_ln_2pi)``.
+    :func:`_ln_tables`: ``(coefficients, half_ln_2pi, cuts)``.
 
     * ``coefficients``: ``c_k = B_2k / (2k (2k - 1))``, as many as the
       series needs at the shift bound, from the integer tangent numbers,
       computed here for this precision:
       ``c_k = (-1)^(k-1) T_k / ((2k - 1) 4^k (4^k - 1))``.
     * ``half_ln_2pi``: ``ln(2 pi)/2``, from Stirling's series at the bound,
-      whose ``loggamma`` is ``ln((bound - 1)!)``.
+      whose ``loggamma`` is ``ln((bound - 1)!)``, over every coefficient.
+    * ``cuts``: ascending floats, one per coefficient.  Past w =
+      ``cuts[i]``, the terms ``|c_k| / w^(2k - 1)`` of the last i + 1
+      coefficients all lie below half a unit in the last digit of
+      ``loggamma(bound)``, the digit the table's last term is below at
+      w = bound.  The tail of the series, alternating, is smaller than its
+      first term, so dropping the terms past a cut moves the sum by under
+      half a unit.  That half is a far wider margin than the rounding of w
+      and of the cuts to floats.  Empty cuts keep every coefficient.
 
     Built when a log-gamma first sums the series at ``prec``, and not
     before: a rise of a count up to the bound needs none of it, and the
@@ -380,15 +397,26 @@ def _series_tables(prec: int) -> tuple:
         - (2 * n + 1) * log10_bound
     ) >= -prec - 2:
         n += 1
+    ks = range(1, n + 1)
     tangents = _tangent_numbers(n)
+    denominators = [(2 * k - 1) * 4**k * (4**k - 1) for k in ks]
     coefficients = tuple(
-        ctx.divide((-1) ** (k - 1) * tangents[k - 1], (2 * k - 1) * 4**k * (4**k - 1))
-        for k in range(1, n + 1)
+        ctx.divide((-1) ** (k - 1) * t, d) for k, t, d in zip(ks, tangents, denominators)
     )
     ln_tables = _ln_tables(prec)
     log_factorial = _ln(ctx.create_decimal(math.factorial(bound - 1)), ctx, ln_tables)
-    stirling = _stirling(ctx.create_decimal(bound), ctx, (coefficients, 0), ln_tables)
-    return coefficients, ctx.subtract(log_factorial, stirling)
+    stirling = _stirling(ctx.create_decimal(bound), ctx, (coefficients, 0, ()), ln_tables)
+    # term k is below half of 10^unit, the last digit, once log10 w passes
+    # (log10(2 T_k / d_k) - unit) / (2k - 1): float logs of exact integers,
+    # off by about 1e-13, where the half moves w by 2^(1 / (2k - 1)) at the least
+    unit = log_factorial.adjusted() + 1 - prec
+    log10_reaches = [
+        (math.log10(2 * t) - math.log10(d) - unit) / (2 * k - 1)
+        for k, t, d in zip(ks, tangents, denominators)
+    ]
+    reaches = (10.0**r if r < 308 else math.inf for r in reversed(log10_reaches))
+    cuts = tuple(itertools.accumulate(reaches, max))
+    return coefficients, ctx.subtract(log_factorial, stirling), cuts
 
 
 def _tangent_numbers(n: int) -> tuple[int, ...]:

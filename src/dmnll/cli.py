@@ -19,7 +19,10 @@ comment lines: a table with one before its last row is read line by
 line, several times slower than the decode would read it.
 
 Results are printed as CSV or canonical JSON (``--format``), to stdout or
-``--out``.  Exit codes: 0 success, 1 computation/domain error, 2 usage,
+``--out``.  ``dmnll loglik`` writes its rows in one formatting pass, one
+``%``-format of a repeated row template, in either format; its JSON bytes
+are ``canonical_json``'s, ``-inf`` written as ``-Infinity``, with no dict
+built per row.  Exit codes: 0 success, 1 computation/domain error, 2 usage,
 parse or I/O error, a failed write to stdout (a closed pipe, a full disk)
 and a closed stdin or stdout included.  An ``error:`` line that stderr
 cannot take is lost, and the exit code is kept.
@@ -43,7 +46,7 @@ import os
 import re
 import sys
 from itertools import repeat
-from operator import add
+from operator import add, itemgetter
 from types import SimpleNamespace
 
 from .core import (
@@ -400,24 +403,67 @@ def _resolve_eval_params(args):
 
 
 def cmd_loglik(args) -> str:
+    """The ``dmnll loglik`` document: each row's log-likelihood and terms,
+    then their total, as CSV or JSON.
+
+    The rows are written in one formatting pass (:func:`_format_rows`),
+    with no line or dict built per row.  The JSON bytes are
+    :func:`canonical_json`'s for the document of the ``method``, ``rows``
+    (each a ``loglik``, ``row`` and ``terms``), ``schema_version`` and
+    ``total``, ``-inf`` written as ``-Infinity``, but no dict is built and
+    ``json``'s encoder does not run.
+    """
     table = _read_table(args.table)
     params, method = _resolve_eval_params(args)
     values, terms = _loglik_columns(params, table.columns, Method(method))
-    rows = zip(range(len(values)), values, terms)
+    rows = range(len(values))
+    cells = _int_cells(terms)
     total = math.fsum(values)
 
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "method": method,
-            "rows": [{"row": i, "loglik": v, "terms": t} for i, v, t in rows],
-            "total": total,
-        }
-        return canonical_json(payload)
-    lines = ["row,loglik,terms"]
-    lines += [f"{i},{v!r},{t}" for i, v, t in rows]
-    lines.append(f"total,{total!r},{sum(terms)}")
-    return "\n".join(lines) + "\n"
+        # every row but the last ends in a comma
+        block = _format_rows(_JSON_ROW, values, rows, cells)[:-2]
+        text = (
+            f'{{\n  "method": {json.dumps(method)},\n  "rows": [\n{block}\n  ],\n'
+            f'  "schema_version": {SCHEMA_VERSION},\n  "total": {total!r}\n}}\n'
+        )
+        # json writes a -inf row or total as -Infinity, and no key or method
+        # holds "inf"; the total (an fsum) is finite if, and only if, every row is
+        return text if math.isfinite(total) else text.replace("inf", "Infinity")
+    block = _format_rows("%d,%r,%s\n", rows, values, cells)
+    return f"row,loglik,terms\n{block}total,{total!r},{sum(terms)}\n"
+
+
+#: One row of the ``dmnll loglik`` JSON document, as :func:`canonical_json`
+#: indents it, its keys sorted: filled from the row's value, index and terms.
+_JSON_ROW = '    {\n      "loglik": %r,\n      "row": %d,\n      "terms": %s\n    },\n'
+
+
+def _format_rows(template: str, *columns) -> str:
+    """``template`` once per row, filled from the row's cell of each of
+    ``columns`` in turn: one ``%``-format of the repeated template over the
+    columns flattened row by row.
+
+    Each column fills its own stride of the flat list by one slice
+    assignment, about a third of the time of flattening their ``zip``."""
+    width, n = len(columns), len(columns[0])
+    flat = [None] * (width * n)
+    for i, column in enumerate(columns):
+        flat[i::width] = column
+    return (template * n) % tuple(flat)
+
+
+def _int_cells(column: list[int]) -> tuple[str, ...]:
+    """``str`` of each int of ``column``, each distinct value converted once.
+
+    The strings go into a dict keyed by value, and one
+    ``operator.itemgetter`` of the column reads every row's string from it,
+    as ``core._column_states`` reads its states.
+    """
+    distinct = set(column)
+    cells = itemgetter(*column)(dict(zip(distinct, map(str, distinct))))
+    # an itemgetter of one key returns that key's value, not a tuple
+    return cells if len(column) > 1 else (cells,)
 
 
 # ---------------------------------------------------------------------------

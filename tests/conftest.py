@@ -18,8 +18,9 @@ sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__f
 import dmnll
 from dmnll import AlphaParams, CountVector, DmnError, DomainError
 from dmnll.bench import REFERENCE_DPS
+from dmnll import cli
 from dmnll.cli import EXIT_USAGE, CountTable, TableParseError, cmd_bench, cmd_fit, cmd_loglik
-from dmnll.core import _as_alpha, _checked
+from dmnll.core import SCHEMA_VERSION, Method, _as_alpha, _checked, _loglik_columns, canonical_json
 from dmnll.estimate import ALPHA_FLOOR, DEFAULT_MAX_ITER, DEFAULT_TOL
 
 
@@ -176,6 +177,31 @@ def _mpmath_parameter_loggamma(a, prec: int):
     """``loggamma(a)`` of a raw mpf parameter (an a_k or A) at ``prec`` bits,
     once per value and precision."""
     return mpmath.libmp.mpf_loggamma(a, prec, "n")
+
+
+def old_cmd_loglik(args) -> str:
+    """``dmnll.cli.cmd_loglik`` as it was before it wrote its rows in one
+    formatting pass: an f-string per CSV row, and for JSON a dict per row
+    encoded by ``canonical_json``.  The reference the one-pass writer must
+    match byte for byte."""
+    table = cli._read_table(args.table)
+    params, method = cli._resolve_eval_params(args)
+    values, terms = _loglik_columns(params, table.columns, Method(method))
+    rows = zip(range(len(values)), values, terms)
+    total = math.fsum(values)
+
+    if args.format == "json":
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "method": method,
+            "rows": [{"row": i, "loglik": v, "terms": t} for i, v, t in rows],
+            "total": total,
+        }
+        return canonical_json(payload)
+    lines = ["row,loglik,terms"]
+    lines += [f"{i},{v!r},{t}" for i, v, t in rows]
+    lines.append(f"total,{total!r},{sum(terms)}")
+    return "\n".join(lines) + "\n"
 
 
 class OldTailCounts:

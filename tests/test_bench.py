@@ -116,7 +116,7 @@ class TestReference:
         # c_k = B_2k / (2k (2k - 1)) from the tangent numbers 1, 2, 16, 272, ...
         assert bench._tangent_numbers(7) == (1, 2, 16, 272, 7936, 353792, 22368256)
         assert bench._tangent_numbers(3) == (1, 2, 16)
-        coefficients, _ = bench._series_tables(60)
+        coefficients, _, _ = bench._series_tables(60)
         ctx = bench._context(60)
         bernoulli = [(1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730)]
         expected = [
@@ -127,17 +127,28 @@ class TestReference:
 
     @pytest.mark.parametrize("prec", [60, 65, 140, 380])
     def test_the_series_table_ends_below_the_last_digit(self, prec):
-        # Stirling's series is summed over the whole table at one precision:
-        # at w = bound its last term is past the last of prec digits of
-        # loggamma(bound), and a larger w only shrinks the terms
+        # Stirling's series is summed at one precision over the table, less
+        # the terms its cuts drop: at w = bound the table's last term is past
+        # the last of prec digits of loggamma(bound), and a larger w only
+        # shrinks the terms
         import mpmath
 
-        coefficients, _ = bench._series_tables(prec)
+        coefficients, _, cuts = bench._series_tables(prec)
         bound, n = bench._shift_bound(prec), len(coefficients)
         with mpmath.workdps(prec + 20):
             last = abs(mpmath.mpf(str(coefficients[-1]))) / mpmath.mpf(bound) ** (2 * n - 1)
             unit = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(mpmath.loggamma(bound))) + 1 - prec)
             assert last < unit
+            # past the cut of the last i + 1 coefficients, each of their terms
+            # is below half that unit: at the cut itself it is at most half,
+            # up to the cut's float rounding (about 1e-13) to the power 2k - 1
+            assert len(cuts) == n and list(cuts) == sorted(cuts)
+            for i, cut in enumerate(cuts):
+                if math.isinf(cut):
+                    continue
+                for k in range(n - i, n + 1):
+                    c_k = abs(mpmath.mpf(str(coefficients[k - 1])))
+                    assert c_k / mpmath.mpf(cut) ** (2 * k - 1) <= unit / 2 * (1 + 1e-9), (i, k)
         # and so the log-gamma that works at prec, at the bound and far past it,
         # is good to a unit in its last digit
         ctx = bench._context(prec - bench._GUARD_DIGITS)

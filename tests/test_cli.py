@@ -13,12 +13,13 @@ import types
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmnll import (
     DomainError,
     MeanPhiParams,
+    cli,
     core,
     dmn_loglik_exact,
     dmn_loglik_lgamma,
@@ -28,7 +29,7 @@ from dmnll import (
 )
 from dmnll.bench import canonical_json
 from dmnll.cli import main, parse_args, parse_count_table, TableParseError
-from conftest import OldTailCounts, child_env, old_build_parser
+from conftest import OldTailCounts, child_env, old_build_parser, old_cmd_loglik
 
 
 def run_cli(capsys, *argv):
@@ -353,6 +354,85 @@ class TestLoglik:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("row,loglik,terms")
+
+
+@st.composite
+def loglik_lines(draw):
+    """A count table's text and the ``dmnll loglik`` flags for it, on one
+    of the three routes: up to 4 columns and 30 rows, counts up to 3 or up
+    to 80 (many distinct totals, so many distinct ``terms`` on the exact
+    route), and on the phi route probabilities with zeros among them, so
+    that rows that observe one are ``-inf``."""
+    k = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([3, 80]))
+    row = st.lists(st.integers(0, top), min_size=k, max_size=k)
+    rows = draw(st.lists(row, min_size=1, max_size=30))
+    text = "".join(",".join(map(str, r)) + "\n" for r in rows)
+    if draw(st.booleans()):
+        text = ",".join(f"c{j}" for j in range(k)) + "\n" + text
+    route = draw(st.sampled_from(["exact", "lgamma", "phi"]))
+    if route == "phi":
+        weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+        p = ",".join(repr(w / sum(weights)) for w in weights)
+        phi = draw(st.sampled_from([0.0, 0.05, 0.5, 0.9]))
+        return text, ["--p", p, "--phi", repr(phi)]
+    alpha = draw(st.lists(st.sampled_from([0.3, 1.0, 2.5, 40.0]), min_size=k, max_size=k))
+    return text, ["--alpha", ",".join(map(repr, alpha)), "--method", route]
+
+
+class TestLoglikWriter:
+    """The rows of ``dmnll loglik`` are written in one formatting pass; its
+    bytes are those of the per-row writer it replaced (``old_cmd_loglik``)."""
+
+    @given(case=loglik_lines(), fmt=st.sampled_from(["csv", "json"]))
+    @example(case=("5\n", ["--alpha", "2.5", "--method", "exact"]), fmt="json")
+    @example(case=("1,0,1\n0,1,0\n", ["--p", "0.5,0,0.5", "--phi", "0.1"]), fmt="json")
+    @example(case=("0,3\n", ["--p", "1.0,0.0", "--phi", "0.0"]), fmt="csv")
+    @settings(max_examples=300, deadline=None)
+    def test_output_matches_the_per_row_writer(self, tmp_path_factory, case, fmt):
+        text, flags = case
+        folder = tmp_path_factory.mktemp("loglik")
+        table, target = folder / "t.csv", folder / "out"
+        table.write_text(text)
+        argv = ["loglik", str(table), *flags, "--format", fmt]
+        expected = old_cmd_loglik(parse_args(argv))
+        shown = io.StringIO()
+        with contextlib.redirect_stdout(shown):
+            assert main(argv) == 0
+        assert shown.getvalue() == expected
+        assert main([*argv, "--out", str(target)]) == 0
+        assert target.read_bytes() == expected.encode()
+
+    def test_json_is_written_without_the_encoder(self, capsys, counts_file, monkeypatch):
+        # the document is canonical_json's, but no dict is built for it
+        path = counts_file("1,0,1\n0,1,0\n4,0,2\n")
+        argv = ["loglik", path, "--p", "0.5,0,0.5", "--phi", "0.1", "--format", "json"]
+        expected = old_cmd_loglik(parse_args(argv))
+
+        def refuse(payload):
+            raise AssertionError("canonical_json called")
+
+        monkeypatch.setattr(cli, "canonical_json", refuse)
+        assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+#: A command line for each JSON document the CLI writes, given a counts file.
+JSON_COMMANDS = {
+    "loglik": lambda table: ["loglik", table, "--alpha", "1,2"],
+    "loglik-lgamma": lambda table: ["loglik", table, "--alpha", "1,2", "--method", "lgamma"],
+    "loglik-inf": lambda table: ["loglik", table, "--p", "1,0", "--phi", "0.25"],
+    "fit": lambda table: ["fit", table],
+    "bench-accuracy": lambda table: ["bench", "accuracy", "--n", "1,2"],
+    "bench-runtime": lambda table: ["bench", "runtime", "--n", "1,2", "--repeats", "3"],
+}
+
+
+@pytest.mark.parametrize("command", JSON_COMMANDS)
+def test_every_json_document_is_canonical(capsys, counts_file, command):
+    argv = JSON_COMMANDS[command](counts_file("1,2\n3,1\n2,0\n"))
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert canonical_json(json.loads(out)) == out
 
 
 # ---------------------------------------------------------------------------
