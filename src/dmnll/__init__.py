@@ -3,10 +3,11 @@
 ``import dmnll`` gives every name in ``dmnll.core.__all__``: the
 evaluators, the domain types and :class:`Dataset`, the table the fit
 takes, and the constants ``MAX_TOTAL_COUNT`` and ``SIMPLEX_TOL``.  The
-names of ``estimate`` and ``sampling`` (which need numpy) and of
-``bench`` (which loads the standard library's ``decimal``), and those
-three submodules themselves, are imported on first use (PEP 562), so code
-that only evaluates likelihoods or builds a dataset loads none of them.
+names of ``estimate`` and ``sampling`` (which need numpy), of
+``reference`` (the one module that loads the standard library's
+``decimal``) and of ``bench`` (which loads ``reference``), and those four
+submodules themselves, are imported on first use (PEP 562), so code that
+only evaluates likelihoods or builds a dataset loads none of them.
 """
 
 import importlib
@@ -25,10 +26,10 @@ _LAZY = {
     "BenchRecord": "bench",
     "ExperimentConfig": "bench",
     "accuracy_defaults": "bench",
-    "reference_loglik": "bench",
     "run_accuracy_experiment": "bench",
     "run_runtime_experiment": "bench",
     "runtime_defaults": "bench",
+    "reference_loglik": "reference",
     "sample_dmn_dataset": "sampling",
     "sample_mn_dataset": "sampling",
 }

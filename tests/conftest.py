@@ -17,7 +17,7 @@ sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__f
 
 import dmnll
 from dmnll import AlphaParams, CountVector, DmnError, DomainError
-from dmnll.bench import REFERENCE_DPS
+from dmnll.reference import REFERENCE_DPS
 from dmnll import cli
 from dmnll.cli import EXIT_USAGE, CountTable, TableParseError, cmd_bench, cmd_fit, cmd_loglik
 from dmnll.core import SCHEMA_VERSION, Method, _as_alpha, _checked, _loglik_columns, canonical_json
@@ -64,7 +64,7 @@ def walk_reference(alpha, x) -> float:
     Every term (including the parameter total A) is computed and accumulated
     as an mpmath float with ``REFERENCE_DPS`` significant digits; the result
     is rounded to a Python float once at the end.  O(N): the oracle that
-    ``dmnll.bench.reference_loglik``'s O(K) log-gamma form must match.
+    ``dmnll.reference.reference_loglik``'s O(K) log-gamma form must match.
     """
     alpha = _as_alpha(alpha)
     x = _checked(len(alpha.alpha), x)
@@ -127,7 +127,7 @@ def _mpmath_rise(a, n: int):
 
 def mpmath_reference(alpha, x) -> float:
     """The log-gamma closed form on ``mpmath.libmp`` at an explicit precision:
-    ``dmnll.bench.reference_loglik`` as it was before it moved to
+    ``dmnll.reference.reference_loglik`` as it was before it moved to
     :mod:`decimal`, kept as that reference's independent oracle.
 
     Sums ``loggamma(a_k + x_k) - loggamma(a_k)`` over the categories with

@@ -1,5 +1,7 @@
 """What importing the package and its CLI loads: each command pays only for what it uses."""
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -51,6 +53,43 @@ def test_bench_import_loads_no_statistics():
     assert out.strip() == "False"
 
 
+def test_reference_import_loads_no_numpy_mpmath_bench_or_estimate():
+    out = run_fresh(
+        "import sys, dmnll.reference\n"
+        "print(sorted(m for m in ('numpy', 'mpmath', 'dmnll.bench', 'dmnll.estimate')"
+        " if m in sys.modules))"
+    )
+    assert out.strip() == "[]"
+
+
+def test_the_package_reference_loads_no_bench():
+    out = run_fresh(
+        "import sys, dmnll\n"
+        "print(dmnll.reference_loglik is dmnll.reference.reference_loglik,"
+        " 'dmnll.bench' in sys.modules)"
+    )
+    assert out.strip() == "True False"
+
+
+def test_the_reference_takes_only_validation_from_core():
+    # independent of the evaluators it checks: from dmnll.core it takes
+    # validation helpers and types, no walk (_sum_terms, _column_states,
+    # _walk_row, _loglik_columns) and no dmn_loglik_* evaluator, and
+    # otherwise only the standard library
+    tree = ast.parse(inspect.getsource(dmnll.reference))
+    from_core, elsewhere = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert (node.level, node.module) == (1, "core"), ast.dump(node)
+            from_core |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            elsewhere.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            elsewhere |= {alias.name.split(".")[0] for alias in node.names}
+    assert from_core <= {"AlphaLike", "CountsLike", "_as_alpha", "_checked"}, from_core
+    assert elsewhere <= set(sys.stdlib_module_names) | {"__future__"}, elsewhere
+
+
 def test_package_import_is_lazy_and_every_name_resolves():
     out = run_fresh(
         "import sys, dmnll\n"
@@ -66,7 +105,7 @@ def test_package_import_is_lazy_and_every_name_resolves():
     )
     assert out.splitlines() == [
         "[]",
-        "dmnll.bench dmnll.estimate 1 dmnll.sampling",
+        "dmnll.reference dmnll.estimate 1 dmnll.sampling",
         "[]",
         "True",
     ]
