@@ -46,7 +46,7 @@ import os
 import re
 import sys
 from itertools import repeat
-from operator import add, itemgetter
+from operator import add
 from types import SimpleNamespace
 
 from .core import (
@@ -417,12 +417,11 @@ def cmd_loglik(args) -> str:
     params, method = _resolve_eval_params(args)
     values, terms = _loglik_columns(params, table.columns, Method(method))
     rows = range(len(values))
-    cells = _int_cells(terms)
     total = math.fsum(values)
 
     if args.format == "json":
         # every row but the last ends in a comma
-        block = _format_rows(_JSON_ROW, values, rows, cells)[:-2]
+        block = _format_rows(_JSON_ROW, values, rows, terms)[:-2]
         text = (
             f'{{\n  "method": {json.dumps(method)},\n  "rows": [\n{block}\n  ],\n'
             f'  "schema_version": {SCHEMA_VERSION},\n  "total": {total!r}\n}}\n'
@@ -430,13 +429,13 @@ def cmd_loglik(args) -> str:
         # json writes a -inf row or total as -Infinity, and no key or method
         # holds "inf"; the total (an fsum) is finite if, and only if, every row is
         return text if math.isfinite(total) else text.replace("inf", "Infinity")
-    block = _format_rows("%d,%r,%s\n", rows, values, cells)
+    block = _format_rows("%d,%r,%d\n", rows, values, terms)
     return f"row,loglik,terms\n{block}total,{total!r},{sum(terms)}\n"
 
 
 #: One row of the ``dmnll loglik`` JSON document, as :func:`canonical_json`
 #: indents it, its keys sorted: filled from the row's value, index and terms.
-_JSON_ROW = '    {\n      "loglik": %r,\n      "row": %d,\n      "terms": %s\n    },\n'
+_JSON_ROW = '    {\n      "loglik": %r,\n      "row": %d,\n      "terms": %d\n    },\n'
 
 
 def _format_rows(template: str, *columns) -> str:
@@ -451,19 +450,6 @@ def _format_rows(template: str, *columns) -> str:
     for i, column in enumerate(columns):
         flat[i::width] = column
     return (template * n) % tuple(flat)
-
-
-def _int_cells(column: list[int]) -> tuple[str, ...]:
-    """``str`` of each int of ``column``, each distinct value converted once.
-
-    The strings go into a dict keyed by value, and one
-    ``operator.itemgetter`` of the column reads every row's string from it,
-    as ``core._column_states`` reads its states.
-    """
-    distinct = set(column)
-    cells = itemgetter(*column)(dict(zip(distinct, map(str, distinct))))
-    # an itemgetter of one key returns that key's value, not a tuple
-    return cells if len(column) > 1 else (cells,)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -85,7 +86,7 @@ DEFAULT_MAX_ITER = 1000
 #: with tracemalloc), so this bound keeps it under about 0.65 GiB.
 _MAX_FIT_LEVELS = 1 << 23
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 #: The Hessian is negative definite where the Sherman-Morrison denominator
 #: 1 + z sum 1/q_k is positive.  It is 1 plus a sum of order 1 or smaller,

@@ -350,6 +350,11 @@ def _stationarity(result, d):
     return float(np.max(np.abs(np.array(result.alpha_hat.alpha) * g)))
 
 
+def test_eps_is_numpys_float64_machine_epsilon():
+    # the fit's rounding bounds read it; it is taken from sys, not numpy
+    assert estimate._EPS == 2.0**-52 == float(np.finfo(float).eps)
+
+
 class TestNewton:
     """Newton steps reach the stationary point the fixed point crawls toward,
     and stay finite and unconverged where the maximum is at infinity."""

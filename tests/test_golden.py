@@ -13,8 +13,13 @@ the current source, after an output changes on purpose.
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+from conftest import child_env
 from dmnll.cli import main
 from dmnll.core import canonical_json
 
@@ -46,6 +51,48 @@ def run(command: str) -> str:
 def test_commands_reproduce_their_golden_stdout():
     expected = json.loads((GOLDEN / "expected.json").read_text())
     assert [command for command, out in expected.items() if run(command) != out] == []
+
+
+def dispatch_targets() -> list[str]:
+    """The targets numpy dispatches to on this CPU: those beyond its
+    baseline that it has kernels for and the CPU runs."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def test_fit_outputs_do_not_depend_on_numpy_simd_kernels():
+    """``np.log``'s float64 results change with the kernels numpy dispatches
+    (under AVX-512, about 1 value in 20 000 differs from ``math.log``), and
+    the fit reads ``np.log``.  Every ``fit`` command in the corpus must
+    write its golden stdout with each of those targets disabled, in a child
+    that sets ``NPY_DISABLE_CPU_FEATURES``."""
+    targets = dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches nothing beyond its baseline on this CPU")
+    expected = json.loads((GOLDEN / "expected.json").read_text())
+    fits = {command: out for command, out in expected.items() if command.startswith("fit ")}
+    env = child_env()
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
+    code = (
+        f"import json, sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_golden import dispatch_targets, run\n"
+        "print(json.dumps([dispatch_targets(), {c: run(c) for c in json.load(sys.stdin)}]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        input=json.dumps(list(fits)),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    left_on, outputs = json.loads(proc.stdout)
+    assert left_on == []
+    assert [command for command, out in fits.items() if outputs[command] != out] == []
 
 
 if __name__ == "__main__":
